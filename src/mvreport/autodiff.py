@@ -4,7 +4,8 @@ Tensors wrap row-major numpy arrays (float32 by default; float64 is
 supported for verification). The graph is rebuilt per step: every op
 records its parents and a backward closure, and ``backward()`` on a
 scalar runs the tape once in reverse topological order, accumulating
-gradients additively at fan-out.
+gradients additively at fan-out. Inside ``no_grad()`` no graph is
+recorded, for forwards whose graph nothing reads.
 
 Reductions accumulate in 64-bit regardless of the storage dtype.
 Softmax subtracts the row max before exponentiation; log clamps its
@@ -13,6 +14,7 @@ argument at 1e-12.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 
@@ -28,11 +30,27 @@ L2_EPS = 1e-12
 
 # When True, cross_entropy_rows validates that its inputs are row-stochastic.
 DEBUG_VALIDATE = False
+# When False, ops record no graph (see no_grad).
+GRAD_ENABLED = True
 
 
 def set_debug_validation(enabled: bool) -> None:
     global DEBUG_VALIDATE
     DEBUG_VALIDATE = enabled
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every op returns a plain tensor,
+    with no parents and no backward closure. Nests; the previous state is
+    restored on exit, also when the block raises."""
+    global GRAD_ENABLED
+    previous = GRAD_ENABLED
+    GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        GRAD_ENABLED = previous
 
 
 class Tensor:
@@ -173,11 +191,15 @@ def _topo_order(root: Tensor) -> list:
 
 
 def _needs_grad(*tensors) -> bool:
-    return any(t.requires_grad or t._backward_fn is not None for t in tensors)
+    # a loop, not any(<generator>): this runs for every op and backward step
+    for t in tensors:
+        if t.requires_grad or t._backward_fn is not None:
+            return True
+    return False
 
 
 def _make(data, parents, backward_fn, op) -> Tensor:
-    if _needs_grad(*parents):
+    if GRAD_ENABLED and _needs_grad(*parents):
         return Tensor(data, dtype=data.dtype, _parents=tuple(parents), _backward_fn=backward_fn, _op=op)
     return Tensor(data, dtype=data.dtype, _op=op)
 
@@ -207,9 +229,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward_fn(g):
-        if a.requires_grad or a._backward_fn is not None:
+        if _needs_grad(a):
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._backward_fn is not None:
+        if _needs_grad(b):
             b._accumulate(_unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "add")
@@ -219,9 +241,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def backward_fn(g):
-        if a.requires_grad or a._backward_fn is not None:
+        if _needs_grad(a):
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._backward_fn is not None:
+        if _needs_grad(b):
             b._accumulate(_unbroadcast(-g, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "sub")
@@ -231,9 +253,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward_fn(g):
-        if a.requires_grad or a._backward_fn is not None:
+        if _needs_grad(a):
             a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._backward_fn is not None:
+        if _needs_grad(b):
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "mul")
@@ -243,9 +265,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def backward_fn(g):
-        if a.requires_grad or a._backward_fn is not None:
+        if _needs_grad(a):
             a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad or b._backward_fn is not None:
+        if _needs_grad(b):
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out_data, (a, b), backward_fn, "div")
@@ -317,7 +339,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     def backward_fn(g):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._backward_fn is not None:
+            if _needs_grad(t):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(start, stop)
                 t._accumulate(g[tuple(idx)])
@@ -406,10 +428,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul batch dims incompatible: {a.shape} vs {b.shape}") from err
 
     def backward_fn(g):
-        if a.requires_grad or a._backward_fn is not None:
+        if _needs_grad(a):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad or b._backward_fn is not None:
+        if _needs_grad(b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
@@ -465,15 +487,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xhat * gain.data + bias.data
 
     def backward_fn(g):
-        if x.requires_grad or x._backward_fn is not None:
+        if _needs_grad(x):
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
             x._accumulate(inv * (dxhat - m1 - xhat * m2))
         lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad or gain._backward_fn is not None:
+        if _needs_grad(gain):
             gain._accumulate(_sum64(g * xhat, axis=lead))
-        if bias.requires_grad or bias._backward_fn is not None:
+        if _needs_grad(bias):
             bias._accumulate(_sum64(g, axis=lead))
 
     return _make(out_data, (x, gain, bias), backward_fn, "layer_norm")
@@ -577,11 +599,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     def backward_fn(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, o)
-        if w.requires_grad or w._backward_fn is not None:
+        if _needs_grad(w):
             w._accumulate((gmat.T @ cols).reshape(w.shape))
-        if b.requires_grad or b._backward_fn is not None:
+        if _needs_grad(b):
             b._accumulate(_sum64(gmat, axis=0))
-        if x.requires_grad or x._backward_fn is not None:
+        if _needs_grad(x):
             gcols = gmat @ wmat
             x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding))
 

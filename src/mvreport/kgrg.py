@@ -3,7 +3,7 @@ indications, a memory-augmented decoder, the LM loss, and decoding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,48 +132,96 @@ def stage2_knowledge(batch: Batch, params: dict, vocab, config: RunConfig) -> Te
     return bridge_forward(fused, ind_feats, params, config)
 
 
-def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, config: RunConfig) -> Tensor:
-    """Causal decoder logits [B, T, vocab] over the whole prefix.
+@dataclass
+class DecoderCache:
+    """Incremental decoding state, one row per decoded sequence.
 
-    Cross-attention keys/values are the knowledge tokens concatenated
-    with the learnable memory rows.
+    ``cross`` holds each layer's cross-attention keys/values over
+    [knowledge ; memory], projected on the first call. ``self_kv`` holds
+    each layer's self-attention keys/values of the positions decoded so
+    far, and ``pad_keys`` their additive PAD key mask [rows, positions].
+    """
+
+    cross: list = field(default_factory=list)
+    self_kv: list = field(default_factory=list)
+    pad_keys: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=np.float32))
+
+    @property
+    def length(self) -> int:
+        return self.pad_keys.shape[1]
+
+    def reorder(self, rows) -> None:
+        """Keep the given rows of the self-attention state, in order (a row
+        may repeat). The result records no graph. Cross-attention
+        keys/values are left as they are: over one study's knowledge they
+        broadcast to every row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.self_kv = [(ad.constant(k.data[rows], dtype=k.dtype), ad.constant(v.data[rows], dtype=v.dtype))
+                        for k, v in self.self_kv]
+        self.pad_keys = self.pad_keys[rows]
+
+
+def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, config: RunConfig,
+                    cache: DecoderCache | None = None) -> Tensor:
+    """Causal decoder logits [B, T, vocab] for the positions in ``prefix_ids``.
+
+    Without ``cache``, ``prefix_ids`` is the whole prefix. With ``cache``,
+    it holds only the new positions: they follow the cached ones, attend
+    to their keys/values under the cached PAD mask, and are appended to
+    the cache. Cross-attention keys/values are the knowledge tokens
+    concatenated with the learnable memory rows, projected once per cache.
     """
     ids = np.asarray(prefix_ids, dtype=np.int64)
-    b, t = ids.shape
-    if t > config.max_tokens + 1:
-        raise DimensionError(f"prefix length {t} exceeds max context {config.max_tokens + 1}")
+    t = ids.shape[1]
+    if cache is None:
+        cache = DecoderCache()
+    offset = cache.length
+    if offset + t > config.max_tokens + 1:
+        raise DimensionError(f"prefix length {offset + t} exceeds max context {config.max_tokens + 1}")
     x = ad.gather_rows(params["stage2.dec.embed"], ids)
-    pos = ad.narrow(params["stage2.dec.pos"], 0, 0, t)
+    pos = ad.narrow(params["stage2.dec.pos"], 0, offset, t)
     x = x + ad.reshape(pos, (1, t, x.shape[-1]))
 
-    causal = np.triu(np.full((t, t), NEG_INF, dtype=np.float32), k=1)
     pad_keys = np.where(ids == PAD_ID, NEG_INF, 0.0).astype(np.float32)
+    if offset:
+        pad_keys = np.concatenate([cache.pad_keys, pad_keys], axis=1)
+    causal = np.triu(np.full((t, offset + t), NEG_INF, dtype=np.float32), k=offset + 1)
     self_mask = causal[None, :, :] + pad_keys[:, None, :]
     # every query may at least attend to itself
     diag = np.arange(t)
-    self_mask[:, diag, diag] = 0.0
+    self_mask[:, diag, offset + diag] = 0.0
 
-    memory = params["stage2.dec.memory"]
-    mem_rows = ad.stack0([memory] * b)  # [B, R, dm]
-    kv_source = ad.concat([knowledge, mem_rows], axis=1)
-
+    if not cache.cross:
+        memory = params["stage2.dec.memory"]
+        mem_rows = ad.stack0([memory] * knowledge.shape[0])  # [B, R, dm]
+        kv_source = ad.concat([knowledge, mem_rows], axis=1)
+        cache.cross = [(ad.matmul(kv_source, params[f"stage2.dec.l{layer}.cross.wk"]),
+                        ad.matmul(kv_source, params[f"stage2.dec.l{layer}.cross.wv"]))
+                       for layer in range(config.dec_layers)]
+    self_kv = []
     for layer in range(config.dec_layers):
         prefix = f"stage2.dec.l{layer}"
         q = ad.matmul(x, params[f"{prefix}.self.wq"])
         k = ad.matmul(x, params[f"{prefix}.self.wk"])
         v = ad.matmul(x, params[f"{prefix}.self.wv"])
+        if offset:
+            past_k, past_v = cache.self_kv[layer]
+            k = ad.concat([past_k, k], axis=1)
+            v = ad.concat([past_v, v], axis=1)
+        self_kv.append((k, v))
         attended = ad.scaled_dot_attention(q, k, v, mask=self_mask)
         x = ad.layer_norm(x + ad.matmul(attended, params[f"{prefix}.self.wo"]),
                           params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
         cq = ad.matmul(x, params[f"{prefix}.cross.wq"])
-        ck = ad.matmul(kv_source, params[f"{prefix}.cross.wk"])
-        cv = ad.matmul(kv_source, params[f"{prefix}.cross.wv"])
+        ck, cv = cache.cross[layer]
         cross = ad.scaled_dot_attention(cq, ck, cv)
         x = ad.layer_norm(x + ad.matmul(cross, params[f"{prefix}.cross.wo"]),
                           params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
         hidden = ad.relu(ad.affine(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
         ffn = ad.affine(hidden, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
         x = ad.layer_norm(x + ffn, params[f"{prefix}.ln3.g"], params[f"{prefix}.ln3.b"])
+    cache.self_kv = self_kv
+    cache.pad_keys = pad_keys
     return ad.affine(x, params["stage2.dec.out.w"], params["stage2.dec.out.b"])
 
 
@@ -222,47 +270,53 @@ def finetune_step(batch: Batch, params: dict, vocab, optimizer, config: RunConfi
     return value
 
 
-def _next_logprobs(prefix: list, knowledge: Tensor, params: dict, config: RunConfig) -> np.ndarray:
-    ids = np.asarray([prefix], dtype=np.int64)
-    logits = decoder_forward(ids, knowledge, params, config)
-    logp = ad.log_softmax_rows(logits)
-    return logp.data[0, -1].astype(np.float64)
-
-
 def generate(study, params: dict, vocab, config: RunConfig, mode: str = "greedy", beam_width: int = 1) -> GenerationOutput:
     """Autoregressive decoding for one study; stops at EOS or max_tokens.
 
     Greedy picks the argmax each step; beam keeps ``beam_width``
     hypotheses ranked by summed logprob, ties resolved toward lower
-    token ids so beam(1) reproduces greedy exactly.
+    token ids so beam(1) reproduces greedy exactly. Each step decodes
+    the newest token of every live hypothesis as one row of a single
+    cached decoder call, then reorders the cache rows to the surviving
+    hypotheses' parents. No graph is recorded.
     """
-    batch = Batch([study])
-    knowledge = stage2_knowledge(batch, params, vocab, config)
     if mode == "greedy":
         beam_width = 1
     elif mode != "beam":
         raise ValueError(f"unknown decoding mode: {mode}")
 
-    # hypothesis: (ids-after-BOS tuple, logprobs tuple, score, finished)
-    hyps = [((), (), 0.0, False)]
-    for _ in range(config.max_tokens):
-        candidates = []
-        for ids, lps, score, finished in hyps:
-            if finished:
-                candidates.append((ids, lps, score, True))
-                continue
-            logp = _next_logprobs([BOS_ID, *ids], knowledge, params, config)
-            order = np.argsort(-logp, kind="stable")[:beam_width]
-            for tok in order:
-                tok = int(tok)
-                if tok == EOS_ID:
-                    candidates.append((ids, lps, score + logp[tok], True))
-                else:
-                    candidates.append((ids + (tok,), lps + (logp[tok],), score + logp[tok], False))
-        candidates.sort(key=lambda c: (-c[2], c[0]))
-        hyps = candidates[:beam_width]
-        if all(h[3] for h in hyps):
-            break
+    with ad.no_grad():
+        knowledge = stage2_knowledge(Batch([study]), params, vocab, config)
+        cache = DecoderCache()
+        # hypothesis: (ids-after-BOS tuple, logprobs tuple, score, finished,
+        #             cache row of its parent in the last step)
+        hyps = [((), (), 0.0, False, 0)]
+        for _ in range(config.max_tokens):
+            tokens = np.asarray([[h[0][-1] if h[0] else BOS_ID] for h in hyps if not h[3]], dtype=np.int64)
+            logits = decoder_forward(tokens, knowledge, params, config, cache=cache)
+            logp_rows = ad.log_softmax_rows(logits).data[:, -1].astype(np.float64)
+            candidates = []
+            row = 0
+            for hyp in hyps:
+                ids, lps, score, finished, _ = hyp
+                if finished:
+                    candidates.append(hyp)
+                    continue
+                logp = logp_rows[row]
+                order = np.argsort(-logp, kind="stable")[:beam_width]
+                for tok in order:
+                    tok = int(tok)
+                    if tok == EOS_ID:
+                        candidates.append((ids, lps, score + logp[tok], True, row))
+                    else:
+                        candidates.append((ids + (tok,), lps + (logp[tok],), score + logp[tok], False, row))
+                row += 1
+            candidates.sort(key=lambda c: (-c[2], c[0]))
+            hyps = candidates[:beam_width]
+            live_rows = [h[4] for h in hyps if not h[3]]
+            if not live_rows:
+                break
+            cache.reorder(live_rows)
     best = hyps[0]
     return GenerationOutput(
         token_ids=list(best[0]),
@@ -273,9 +327,9 @@ def generate(study, params: dict, vocab, config: RunConfig, mode: str = "greedy"
 
 def teacher_forced_logprobs(study, token_ids, params: dict, vocab, config: RunConfig) -> np.ndarray:
     """Per-token logprobs of a given sequence under the current model."""
-    batch = Batch([study])
-    knowledge = stage2_knowledge(batch, params, vocab, config)
-    inputs = np.asarray([[BOS_ID, *token_ids]], dtype=np.int64)
-    logits = decoder_forward(inputs, knowledge, params, config)
-    logp = ad.log_softmax_rows(logits).data[0]
+    with ad.no_grad():
+        knowledge = stage2_knowledge(Batch([study]), params, vocab, config)
+        inputs = np.asarray([[BOS_ID, *token_ids]], dtype=np.int64)
+        logits = decoder_forward(inputs, knowledge, params, config)
+        logp = ad.log_softmax_rows(logits).data[0]
     return np.array([logp[t, tok] for t, tok in enumerate(token_ids)], dtype=np.float64)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .checkpoint import check_compatibility, dims_meta, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import load_manifest, make_batches
@@ -48,10 +49,11 @@ def _append_jsonl(path: Path, record: dict) -> None:
 
 def validation_stage1_loss(studies, params, vocab, config: RunConfig) -> float:
     total, count = 0.0, 0
-    for batch in make_batches(studies, config.batch_size, seed=derive_seed(config.seed, "val-order")):
-        loss, *_ = stage1_forward(batch, params, vocab, config)
-        total += loss.item() * batch.B
-        count += batch.B
+    with ad.no_grad():
+        for batch in make_batches(studies, config.batch_size, seed=derive_seed(config.seed, "val-order")):
+            loss, *_ = stage1_forward(batch, params, vocab, config)
+            total += loss.item() * batch.B
+            count += batch.B
     return total / count
 
 
@@ -115,9 +117,10 @@ def _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage, extra_meta=No
 
 def validation_lm_loss(studies, params, vocab, config: RunConfig) -> float:
     total, count = 0.0, 0
-    for batch in make_batches(studies, config.batch_size, seed=derive_seed(config.seed, "val-order")):
-        total += lm_loss(batch, params, vocab, config).item() * batch.B
-        count += batch.B
+    with ad.no_grad():
+        for batch in make_batches(studies, config.batch_size, seed=derive_seed(config.seed, "val-order")):
+            total += lm_loss(batch, params, vocab, config).item() * batch.B
+            count += batch.B
     return total / count
 
 

@@ -419,3 +419,32 @@ def test_grad_gather_rows():
     table = p64(rng, (6, 3))
     idx = np.array([[0, 1, 1], [5, 2, 0]])
     check_grads(lambda: scalarize(ad.gather_rows(table, idx), Rng(25)), [table])
+
+
+# -- no_grad -----------------------------------------------------------------
+
+
+def test_no_grad_records_no_graph_and_nests():
+    w = ad.parameter(np.ones((2, 2)))
+    with ad.no_grad():
+        with ad.no_grad():
+            inner = ad.matmul(w, w)
+        outer = ad.relu(w)
+        assert not ad.GRAD_ENABLED
+    for t in (inner, outer):
+        assert t._parents == () and t._backward_fn is None and not t.requires_grad
+    assert ad.GRAD_ENABLED
+    assert ad.matmul(w, w)._parents == (w, w)
+
+
+def test_no_grad_restores_state_after_exception():
+    with pytest.raises(DimensionError):
+        with ad.no_grad():
+            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+    assert ad.GRAD_ENABLED
+    with ad.no_grad():
+        with pytest.raises(DimensionError):
+            with ad.no_grad():
+                ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+        assert not ad.GRAD_ENABLED
+    assert ad.GRAD_ENABLED

@@ -8,6 +8,7 @@ from mvreport.data import Batch
 from mvreport.encoders import init_stage1_params
 from mvreport.errors import DimensionError, NumericalAbort
 from mvreport.kgrg import (
+    DecoderCache,
     bridge_forward,
     decoder_forward,
     encode_indications,
@@ -18,6 +19,7 @@ from mvreport.kgrg import (
     lm_loss_from_ids,
     report_target_ids,
     split_param_groups,
+    stage2_knowledge,
     teacher_forced_logprobs,
 )
 from mvreport.optim import AdamW
@@ -26,9 +28,12 @@ from mvreport.synthetic import SynthSpec, build_vocabulary, synth_corpus
 from mvreport.text import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 from conftest import make_study, tiny_config
+from decode_reference import reference_generate
 from gradcheck import directional_check, to_f64_params
 
 F64 = np.float64
+# Cached/batched decoding vs the full-prefix reference: same math, other summation shapes.
+DECODE_TOL = {np.float32: 1e-5, np.float64: 1e-10}
 
 
 def _setup(view_counts=(1, 2), indications=None, seed=0, **config_over):
@@ -243,7 +248,8 @@ def test_generate_output_invariants():
     assert len(out.token_ids) <= config.max_tokens
     assert len(out.token_logprobs) == len(out.token_ids)
     assert all(lp <= 0.0 for lp in out.token_logprobs)
-    assert all(tok not in (PAD_ID, BOS_ID, EOS_ID) or True for tok in out.token_ids)
+    assert EOS_ID not in out.token_ids
+    assert (out.stopped_by == "max_len") == (len(out.token_ids) == config.max_tokens)
 
 
 def test_beam_one_equals_greedy():
@@ -269,3 +275,79 @@ def test_decode_score_consistency():
         pytest.skip("degenerate greedy output")
     rescored = teacher_forced_logprobs(study, out.token_ids, params, vocab, config)
     np.testing.assert_allclose(rescored, out.token_logprobs, atol=1e-5)
+
+
+def _decode_setup(seed, dec_layers, dtype, pad_bias=1.5):
+    """Three studies, with a PAD logit bias so that decodes emit PAD tokens."""
+    config, batch, vocab, params = _setup(view_counts=(1, 2, 3), seed=seed, dec_layers=dec_layers,
+                                          indications=["male with cough", None, "female with fever"])
+    if dtype == np.float64:
+        params = to_f64_params(params)
+    params["stage2.dec.out.b"].data[PAD_ID] += pad_bias
+    return config, batch, vocab, params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_generate_matches_full_prefix_reference(dec_layers, dtype):
+    tokens = []
+    for seed in (0, 1, 2):
+        config, batch, vocab, params = _decode_setup(seed, dec_layers, dtype)
+        for study in batch.studies:
+            for mode, width in (("greedy", 1), ("beam", 3)):
+                out = generate(study, params, vocab, config, mode=mode, beam_width=width)
+                ref = reference_generate(study, params, vocab, config, mode=mode, beam_width=width)
+                assert out.token_ids == ref.token_ids
+                assert out.stopped_by == ref.stopped_by
+                np.testing.assert_allclose(out.token_logprobs, ref.token_logprobs,
+                                           rtol=0, atol=DECODE_TOL[dtype])
+                tokens.extend(out.token_ids)
+    assert PAD_ID in tokens
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_cached_decoder_steps_match_full_prefix(dec_layers, dtype):
+    config, batch, vocab, params = _decode_setup(0, dec_layers, dtype)
+    knowledge = stage2_knowledge(Batch(batch.studies[1:2]), params, vocab, config)
+    seqs = np.random.default_rng(dec_layers).integers(3, len(vocab), size=(3, config.max_tokens + 1))
+    seqs[:, 0] = BOS_ID
+    seqs[:, 2] = PAD_ID
+    seqs[1, 5:7] = PAD_ID
+    tol = DECODE_TOL[dtype]
+    cache = DecoderCache()
+    with ad.no_grad():
+        # a 3-position first call, then one position per call
+        starts = [0, *range(3, config.max_tokens + 1)]
+        for start, stop in zip(starts, starts[1:] + [config.max_tokens + 1]):
+            if start == 6:  # beam-style reorder: rows 1 and 2 continue row 0, row 0 continues row 2
+                seqs = np.concatenate([seqs[[2, 0, 0], :start], seqs[:, start:]], axis=1)
+                cache.reorder([2, 0, 0])
+            step = decoder_forward(seqs[:, start:stop], knowledge, params, config, cache=cache)
+            assert cache.length == stop
+            for row in range(3):
+                full = decoder_forward(seqs[row:row + 1, :stop], knowledge, params, config)
+                np.testing.assert_allclose(step.data[row], full.data[0, start:stop], rtol=0, atol=tol)
+        with pytest.raises(DimensionError):
+            decoder_forward(seqs[:, :1], knowledge, params, config, cache=cache)
+    assert cache.length == config.max_tokens + 1
+
+
+def test_decoder_forward_under_no_grad_records_no_graph():
+    config, batch, vocab, params = _setup()
+    ids = np.array([[BOS_ID, 4, 5], [BOS_ID, 6, PAD_ID]], dtype=np.int64)
+    with ad.no_grad():
+        knowledge = stage2_knowledge(batch, params, vocab, config)
+        logits = decoder_forward(ids, knowledge, params, config)
+    assert logits._parents == () and logits._backward_fn is None
+    recorded = decoder_forward(ids, stage2_knowledge(batch, params, vocab, config), params, config)
+    assert recorded._parents
+    np.testing.assert_array_equal(logits.data, recorded.data)
+
+
+def test_generate_leaves_no_parameter_grads():
+    config, batch, vocab, params = _setup()
+    generate(batch.studies[0], params, vocab, config, mode="beam", beam_width=3)
+    teacher_forced_logprobs(batch.studies[0], [4, 5], params, vocab, config)
+    assert all(p.grad is None for p in params.values())
+    assert ad.GRAD_ENABLED
