@@ -102,6 +102,13 @@ class Tensor:
         else:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient, allocated as zeros on first use, for backward
+        closures that add into a part of it in place."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        return self.grad
+
     def backward(self) -> None:
         """Reverse pass from a scalar; leaf grads accumulate across calls."""
         if self.data.size != 1:
@@ -354,9 +361,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out_data = a.data[idx].copy()
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        a._accumulate(full)
+        a._grad_buffer()[idx] += g
 
     return _make(out_data, (a,), backward_fn, "narrow")
 
@@ -367,9 +372,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out_data = a.data[indices]
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, indices.reshape(-1), g.reshape(-1, a.shape[-1]) if a.data.ndim > 1 else g.reshape(-1))
-        a._accumulate(full)
+        rows = indices.reshape(-1)
+        g_rows = g.reshape((-1,) + a.shape[1:])
+        if len(np.unique(rows)) == len(rows):
+            a._grad_buffer()[rows] += g_rows  # far faster than np.add.at
+        else:
+            np.add.at(a._grad_buffer(), rows, g_rows)
 
     return _make(out_data, (a,), backward_fn, "gather_rows")
 
@@ -377,13 +385,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 def take_last(a: Tensor, indices) -> Tensor:
     """Pick one entry per row along the last axis (for NLL extraction)."""
     indices = np.asarray(indices, dtype=np.int64)
-    idx = np.expand_dims(indices, axis=-1)
-    out_data = np.take_along_axis(a.data, idx, axis=-1).squeeze(-1)
+    out_data = np.take_along_axis(a.data, np.expand_dims(indices, axis=-1), axis=-1).squeeze(-1)
+    picked = (*np.indices(indices.shape, sparse=True), indices)  # one distinct entry per row
 
     def backward_fn(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, -1), axis=-1)
-        a._accumulate(full)
+        a._grad_buffer()[picked] += g
 
     return _make(out_data, (a,), backward_fn, "take_last")
 

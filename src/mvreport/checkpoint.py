@@ -54,21 +54,20 @@ def load_checkpoint(ckpt_dir):
     return params, extras, meta
 
 
-def check_compatibility(meta: dict, config, vocab_hash: str, expected_stage: str) -> None:
-    """Raise with an explicit diff when dims/vocab/stage do not line up."""
+def check_compatibility(meta: dict, params: dict, expected_shapes: dict, vocab_hash: str, expected_stage: str) -> None:
+    """Raise with an explicit diff when the stage, the vocabulary or the
+    tensors do not line up. ``expected_shapes`` maps every tensor name the
+    config would initialise to its shape; the checkpoint's ``params`` must
+    hold exactly those names, with those shapes."""
     problems = []
     if meta.get("stage") != expected_stage:
         problems.append(f"stage: checkpoint={meta.get('stage')!r} expected={expected_stage!r}")
-    for key in ("d1", "d2", "d", "n_b", "memory_rows", "image_size", "k_t"):
-        ours = getattr(config, key)
-        theirs = meta.get("dims", {}).get(key)
-        if theirs is not None and theirs != ours:
-            problems.append(f"{key}: checkpoint={theirs} config={ours}")
     if meta.get("vocab_hash") not in (None, vocab_hash):
         problems.append(f"vocab_hash: checkpoint={meta.get('vocab_hash')[:12]}... ours={vocab_hash[:12]}...")
+    for name in sorted(set(params) | set(expected_shapes)):
+        theirs = tuple(params[name].shape) if name in params else "missing"
+        ours = tuple(expected_shapes[name]) if name in expected_shapes else "missing"
+        if theirs != ours:
+            problems.append(f"{name}: checkpoint={theirs} config={ours}")
     if problems:
         raise CheckpointError("incompatible checkpoint: " + "; ".join(problems))
-
-
-def dims_meta(config) -> dict:
-    return {key: getattr(config, key) for key in ("d1", "d2", "d", "n_b", "memory_rows", "image_size", "k_t")}

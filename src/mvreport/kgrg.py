@@ -11,7 +11,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
 from .data import Batch, stack_views
-from .encoders import NEG_INF, encode_text, encode_views
+from .encoders import NEG_INF, TextFeatures, encode_text, encode_views
 from .errors import DimensionError, NumericalAbort
 from .mvcl import multi_view_fuse
 from .rng import Rng
@@ -79,48 +79,48 @@ def split_param_groups(params: dict):
     return stage1, stage2
 
 
-def encode_indications(batch: Batch, params: dict, vocab, config: RunConfig) -> list:
-    """Per-study indication token features (None where absent).
+def encode_indications(batch: Batch, params: dict, vocab, config: RunConfig) -> TextFeatures | None:
+    """Indication token features [B, L, d2], padded, or None when no study
+    has an indication.
 
-    Indications run through the Stage-1 text encoder; each present study
-    yields its unmasked token rows as a [L_i, d2] tensor.
+    Indications run through the Stage-1 text encoder. ``pad_mask`` is True
+    at a study's real indication tokens; a study without an indication has
+    an all-False row.
     """
-    present = [i for i, s in enumerate(batch.studies) if s.indication]
-    if not present:
-        return [None] * batch.B
-    token_lists = [tokenize(batch.studies[i].indication) for i in present]
+    present = np.asarray([bool(s.indication) for s in batch.studies])
+    if not present.any():
+        return None
+    token_lists = [tokenize(s.indication) for s in batch.studies if s.indication]
     feats = encode_text(token_lists, params, vocab, config)
-    out = [None] * batch.B
-    for row, study_index in enumerate(present):
-        n_tok = int(feats.pad_mask[row].sum())
-        tokens = ad.reshape(ad.narrow(feats.tokens, 0, row, 1), feats.tokens.shape[1:])
-        out[study_index] = ad.narrow(tokens, 0, 0, n_tok)
-    return out
+    # absent studies borrow the first encoded row; their mask row is all False
+    rows = np.maximum(np.cumsum(present) - 1, 0)
+    pad_mask = feats.pad_mask[rows] & present[:, None]
+    return TextFeatures(tokens=ad.gather_rows(feats.tokens, rows), pad_mask=pad_mask,
+                        ids=np.where(pad_mask, feats.ids[rows], PAD_ID))
 
 
-def bridge_forward(fused_vis: Tensor, indication_feats: list | None, params: dict, config: RunConfig) -> Tensor:
+def bridge_forward(fused_vis: Tensor, indications: TextFeatures | None, params: dict, config: RunConfig) -> Tensor:
     """Condition fused visual tokens on [bridge ; indication] keys/values.
 
-    The output shape always equals the input shape, whether or not an
-    indication is present.
+    Keys are the n_b bridge tokens followed by the study's indication
+    tokens, padded to [B, n_b + L, dm] under a key mask; the bridge tokens
+    are never masked. The output shape always equals the input shape,
+    whether or not an indication is present.
     """
-    b = fused_vis.shape[0]
-    if indication_feats is None:
-        indication_feats = [None] * b
     bridge = params["stage2.bridge.tokens"]
+    kv, key_mask = bridge, None
+    if indications is not None:
+        b = fused_vis.shape[0]
+        # the bridge tokens broadcast to every study; the add sums their gradient back
+        bridge_rows = ad.constant(np.zeros((b, 1, 1)), dtype=bridge.dtype) + ad.reshape(bridge, (1,) + bridge.shape)
+        kv = ad.concat([bridge_rows, indications.tokens], axis=1)
+        present = np.concatenate([np.ones((b, bridge.shape[0]), dtype=bool), indications.pad_mask], axis=1)
+        key_mask = np.where(present, 0.0, NEG_INF).astype(np.float32)[:, None, :]
     x = fused_vis
     for block in range(config.bridge_blocks):
-        gain = params[f"stage2.bridge.b{block}.ln.g"]
-        bias = params[f"stage2.bridge.b{block}.ln.b"]
-        rows = []
-        for i in range(b):
-            study_x = ad.narrow(x, 0, i, 1)  # [1, p, dm]
-            kv = bridge if indication_feats[i] is None else ad.concat([bridge, indication_feats[i]], axis=0)
-            queries = ad.reshape(study_x, study_x.shape[1:])
-            attended = ad.scaled_dot_attention(queries, kv, kv)  # [p, dm]
-            out = ad.layer_norm(queries + attended, gain, bias)
-            rows.append(ad.reshape(out, (1,) + out.shape))
-        x = ad.concat(rows, axis=0)
+        attended = ad.scaled_dot_attention(x, kv, kv, mask=key_mask)  # [B, p, dm]
+        x = ad.layer_norm(x + attended, params[f"stage2.bridge.b{block}.ln.g"],
+                          params[f"stage2.bridge.b{block}.ln.b"])
     return x
 
 

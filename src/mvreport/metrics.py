@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, DimensionError
 
@@ -33,14 +33,6 @@ OBSERVATIONS = [
 ]
 # CheXpert competition subset
 OBSERVATIONS_5 = ["Atelectasis", "Cardiomegaly", "Consolidation", "Edema", "Pleural Effusion"]
-
-
-@dataclass
-class MetricReport:
-    bleu: list
-    rouge_l: float
-    meteor: float
-    extras: dict = field(default_factory=dict)
 
 
 def _check_corpus(candidates, references):

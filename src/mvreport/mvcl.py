@@ -13,6 +13,7 @@ from .autodiff import Tensor
 from .config import RunConfig
 from .data import Batch, stack_views
 from .encoders import (
+    NEG_INF,
     ProjectedPair,
     VisualFeatures,
     encode_text,
@@ -58,30 +59,23 @@ def mpc_distributions(v_globals: Tensor, batch: Batch, tau1: float) -> MpcDistri
     """
     if tau1 <= 0:
         raise ParameterError(f"tau1 must be positive, got {tau1}")
-    index_map = []
-    keep_rows = []
-    offset = 0
-    for si, study in enumerate(batch.studies):
-        for vi in range(study.num_views):
-            if study.num_views > 1:
-                index_map.append((si, vi))
-                keep_rows.append(offset + vi)
-        offset += study.num_views
+    counts = np.asarray([study.num_views for study in batch.studies])
+    study_of_view = np.repeat(np.arange(batch.B), counts)
+    view_in_study = np.arange(len(study_of_view)) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep_rows = np.flatnonzero(counts[study_of_view] > 1)
     k = len(keep_rows)
     if k < 2:
         return None
 
-    pool = ad.gather_rows(v_globals, np.asarray(keep_rows))
+    pool = ad.gather_rows(v_globals, keep_rows)
     sims = ad.matmul(pool, ad.swap_last2(pool))  # [K, K]
     q = ad.softmax_rows(_drop_diagonal(sims, k), temperature=tau1)
 
-    same = np.zeros((k, k), dtype=np.float32)
-    for i, (si, _) in enumerate(index_map):
-        for j, (sj, _) in enumerate(index_map):
-            if i != j and si == sj:
-                same[i, j] = 1.0
+    study_ids = study_of_view[keep_rows]
+    same = (study_ids[:, None] == study_ids[None, :]).astype(np.float32)
     flat = same.reshape(-1)[:-1].reshape(k - 1, k + 1)[:, 1:].reshape(k, k - 1)
     p = flat / flat.sum(axis=1, keepdims=True)
+    index_map = list(zip(study_ids.tolist(), view_in_study[keep_rows].tolist()))
     return MpcDistributions(q=q, p=p, anchor_index_map=index_map)
 
 
@@ -100,36 +94,42 @@ def multi_view_fuse(vis: VisualFeatures, batch: Batch, params: dict) -> Tensor:
     spatial position (cross-attention over the view axis), followed by a
     skip connection and layer normalization. Single-view studies bypass
     fusion and pass their anchor features through unchanged.
+
+    The multi-view studies attend at once: their auxiliary views are
+    padded to the largest count A under a [B_multi, A] key mask.
     """
     gain, bias = params["stage1.fuse.ln.g"], params["stage1.fuse.ln.b"]
-    offsets = batch.view_offsets()
-    fused_rows = []
-    for study, offset in zip(batch.studies, offsets):
-        m = study.num_views
-        study_feats = ad.narrow(vis.per_view, 0, offset, m)  # [m, p, d1]
-        anchor = ad.narrow(study_feats, 0, study.anchor_index, 1)  # [1, p, d1]
-        if m == 1:
-            fused_rows.append(anchor)
-            continue
-        aux_parts = []
-        if study.anchor_index > 0:
-            aux_parts.append(ad.narrow(study_feats, 0, 0, study.anchor_index))
-        if study.anchor_index < m - 1:
-            aux_parts.append(ad.narrow(study_feats, 0, study.anchor_index + 1, m - 1 - study.anchor_index))
-        aux = ad.concat(aux_parts, axis=0) if len(aux_parts) > 1 else aux_parts[0]  # [m-1, p, d1]
-        queries = ad.transpose(anchor, (1, 0, 2))        # [p, 1, d1]
-        keys = ad.transpose(aux, (1, 0, 2))              # [p, m-1, d1]
-        attended = ad.scaled_dot_attention(queries, keys, keys)  # [p, 1, d1]
-        attended = ad.transpose(attended, (1, 0, 2))     # [1, p, d1]
-        fused_rows.append(ad.layer_norm(anchor + attended, gain, bias))
-    return ad.concat(fused_rows, axis=0)
+    offsets = np.asarray(batch.view_offsets())
+    counts = np.asarray([study.num_views for study in batch.studies])
+    anchors = np.asarray([study.anchor_index for study in batch.studies])
+    rows = offsets + anchors  # the anchor view's row of each study
+    multi = np.flatnonzero(counts > 1)
+    if len(multi) == 0:
+        return ad.gather_rows(vis.per_view, rows)
+    m_offsets, m_counts, m_anchors = offsets[multi], counts[multi], anchors[multi]
+    # auxiliary slot j holds view j before the anchor and view j + 1 from
+    # it on; padded slots repeat the anchor row and are masked out
+    slots = np.arange(m_counts.max() - 1)[None, :]
+    valid = slots < (m_counts - 1)[:, None]  # [B_multi, A]
+    aux_rows = m_offsets[:, None] + np.where(valid, slots + (slots >= m_anchors[:, None]), m_anchors[:, None])
+    anchor = ad.gather_rows(vis.per_view, rows[multi])  # [B_multi, p, d1]
+    aux = ad.gather_rows(vis.per_view, aux_rows)        # [B_multi, A, p, d1]
+    b, p, d1 = anchor.shape
+    queries = ad.reshape(anchor, (b, p, 1, d1))
+    keys = ad.transpose(aux, (0, 2, 1, 3))  # [B_multi, p, A, d1]
+    key_mask = np.where(valid, 0.0, NEG_INF).astype(np.float32)[:, None, None, :]
+    attended = ad.scaled_dot_attention(queries, keys, keys, mask=key_mask)  # [B_multi, p, 1, d1]
+    fused = ad.layer_norm(anchor + ad.reshape(attended, (b, p, d1)), gain, bias)
+    # where(multi-view, fused, anchor) as a selection of rows, so that
+    # single-view studies keep their anchor features exactly
+    rows[multi] = vis.per_view.shape[0] + np.arange(b)
+    return ad.gather_rows(ad.concat([vis.per_view, fused], axis=0), rows)
 
 
 def global_ground_truth(reports) -> np.ndarray:
     """p^g rows: uniform over studies whose reports are string-identical."""
-    b = len(reports)
-    match = np.array([[1.0 if reports[i] == reports[j] else 0.0 for j in range(b)] for i in range(b)],
-                     dtype=np.float32)
+    _, report_ids = np.unique(np.asarray(reports), return_inverse=True)
+    match = (report_ids[:, None] == report_ids[None, :]).astype(np.float32)
     return match / match.sum(axis=1, keepdims=True)
 
 
@@ -158,38 +158,26 @@ def token_alignment_loss(pp: ProjectedPair, tau2: float) -> Tensor:
     """Single-positive InfoNCE per unmasked text token against its
     attention-pooled visual context, negatives from the same study.
 
-    Studies with fewer than two unmasked tokens contribute nothing.
+    Studies with fewer than two unmasked tokens contribute nothing. All
+    studies share one [B, L, L] logit tensor with PAD keys masked out.
     """
     if tau2 <= 0:
         raise ParameterError(f"tau2 must be positive, got {tau2}")
-    b = pp.txt.shape[0]
-    per_study_losses = []
-    total_tokens = 0
-    for i in range(b):
-        unmasked = np.flatnonzero(pp.txt_mask[i])
-        n_tok = len(unmasked)
-        if n_tok < 2:
-            continue
-        txt_i = ad.reshape(ad.narrow(pp.txt, 0, i, 1), pp.txt.shape[1:])  # [L, d]
-        if unmasked[-1] == n_tok - 1 and unmasked[0] == 0:
-            tokens = ad.narrow(txt_i, 0, 0, n_tok)
-        else:
-            tokens = ad.gather_rows(txt_i, unmasked)
-        vis_i = ad.reshape(ad.narrow(pp.vis, 0, i, 1), pp.vis.shape[1:])  # [p, d]
-        contexts = ad.scaled_dot_attention(tokens, vis_i, vis_i)          # [n_tok, d]
-        t_norm = ad.l2_normalize(tokens)
-        c_norm = ad.l2_normalize(contexts)
-        logits = ad.matmul(t_norm, ad.swap_last2(c_norm))  # [n_tok, n_tok]
-        logp = ad.log_softmax_rows(logits, temperature=tau2)
-        diag = ad.take_last(logp, np.arange(n_tok))
-        per_study_losses.append(-ad.tsum(diag))
-        total_tokens += n_tok
-    if not per_study_losses:
+    n_tok = pp.txt_mask.sum(axis=1)
+    weights = (pp.txt_mask & (n_tok >= 2)[:, None]).astype(np.float32)  # [B, L]
+    total_tokens = weights.sum()
+    if total_tokens == 0:
         return ad.constant(0.0)
-    total = per_study_losses[0]
-    for extra in per_study_losses[1:]:
-        total = total + extra
-    return total * (1.0 / total_tokens)
+    b, length = pp.txt_mask.shape
+    contexts = ad.scaled_dot_attention(pp.txt, pp.vis, pp.vis)  # [B, L, d]
+    t_norm = ad.l2_normalize(pp.txt)
+    c_norm = ad.l2_normalize(contexts)
+    logits = ad.matmul(t_norm, ad.swap_last2(c_norm))  # [B, L, L]
+    pad_keys = np.where(pp.txt_mask, 0.0, NEG_INF).astype(np.float32)[:, None, :]
+    logp = ad.log_softmax_rows(logits + ad.constant(pad_keys, dtype=logits.dtype), temperature=tau2)
+    diag = ad.take_last(logp, np.broadcast_to(np.arange(length), (b, length)))  # [B, L]
+    nll = -ad.tsum(diag * ad.constant(weights, dtype=diag.dtype))
+    return nll * (1.0 / float(total_tokens))
 
 
 def stage1_forward(batch: Batch, params: dict, vocab, config: RunConfig):

@@ -36,7 +36,6 @@ class SynthSpec:
     n_studies: int
     view_count_range: tuple = (1, 3)
     image_size: int = 32
-    vocab_size: int = 32  # lower bound sanity check only; templates fix the true size
     indication_rate: float = 0.66
     noise_std: float = 0.05
     seed: int = 0

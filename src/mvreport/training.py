@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import check_compatibility, dims_meta, load_checkpoint, save_checkpoint
+from .checkpoint import check_compatibility, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import load_manifest, make_batches
+from .encoders import init_stage1_params
 from .errors import CheckpointError, DataError
 from .kgrg import finetune_step, generate, init_stage2_params, lm_loss, split_param_groups
 from .metrics import GreenCounts, bleu, ce_f1, green_score, meteor_simplified, rouge_l
@@ -98,15 +99,27 @@ def pretrain_run(config: RunConfig, out_dir=None) -> Path:
 
 
 def mvcl_init_params(config: RunConfig, vocab) -> dict:
-    from .encoders import init_stage1_params
-
     return init_stage1_params(config, len(vocab), Rng(derive_seed(config.seed, "stage1-init")))
+
+
+class _ShapesOnly:
+    """Stands in for the initialisers' Rng when only the shapes are needed."""
+
+    def normal(self, shape, std=1.0):
+        return np.zeros(shape, dtype=np.float32)
+
+
+def _param_shapes(config: RunConfig, vocab, stage: str) -> dict:
+    """Name -> shape of every tensor a ``stage`` checkpoint holds under ``config``."""
+    params = init_stage1_params(config, len(vocab), _ShapesOnly())
+    if stage == "stage2":
+        params.update(init_stage2_params(config, len(vocab), _ShapesOnly()))
+    return {name: t.shape for name, t in params.items()}
 
 
 def _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage, extra_meta=None) -> None:
     meta = {
         "stage": stage,
-        "dims": dims_meta(config),
         "vocab_hash": vocab.content_hash(),
         "vocab": vocab.id_to_token,
         "seed": config.seed,
@@ -143,7 +156,8 @@ def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = F
     if stage1_ckpt is not None:
         stage1_params, _, meta = load_checkpoint(stage1_ckpt)
         vocab = _vocab_from_meta(meta)
-        check_compatibility(meta, config, vocab.content_hash(), expected_stage="stage1")
+        check_compatibility(meta, stage1_params, _param_shapes(config, vocab, "stage1"), vocab.content_hash(),
+                            expected_stage="stage1")
     elif allow_cold_start:
         vocab = build_vocabulary(train)
         stage1_params = mvcl_init_params(config, vocab)
@@ -194,7 +208,8 @@ def generate_run(ckpt_dir, manifest_path, config: RunConfig, mode: str, beam_wid
     """Decode every study in the manifest; one JSONL line per study."""
     params, _, meta = load_checkpoint(ckpt_dir)
     vocab = _vocab_from_meta(meta)
-    check_compatibility(meta, config, vocab.content_hash(), expected_stage="stage2")
+    check_compatibility(meta, params, _param_shapes(config, vocab, "stage2"), vocab.content_hash(),
+                        expected_stage="stage2")
     studies = load_manifest(manifest_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mvreport import autodiff as ad
 from mvreport.config import RunConfig
 from mvreport.data import Study
+from mvreport.encoders import TextFeatures
 from mvreport.rng import Rng
-from mvreport.text import fallback_serialize
+from mvreport.text import PAD_ID, fallback_serialize
 
 
 def tiny_config(**overrides):
@@ -44,6 +46,21 @@ def make_study(study_id, num_views, rng, image_size=8, report="patchy opacity se
         report=report,
         factual_serialization=fallback_serialize(report),
     )
+
+
+def padded_indications(rows):
+    """Indication features for ``bridge_forward`` from per-study [L_i, d]
+    token arrays (None where a study has no indication), padded to the
+    longest under a mask."""
+    d = next(np.shape(r)[1] for r in rows if r is not None)
+    width = max(len(r) for r in rows if r is not None)
+    tokens = np.zeros((len(rows), width, d), dtype=np.float32)
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for i, r in enumerate(rows):
+        if r is not None:
+            tokens[i, :len(r)] = r
+            mask[i, :len(r)] = True
+    return TextFeatures(tokens=ad.constant(tokens), pad_mask=mask, ids=np.where(mask, PAD_ID + 1, PAD_ID))
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ from mvreport.rng import Rng
 from mvreport.synthetic import SynthSpec, synth_corpus
 from mvreport.text import Vocabulary, tokenize
 
-from conftest import make_study, tiny_config
+from conftest import make_study, padded_indications, tiny_config
 from gradcheck import check_grads, directional_check, to_f64_params
 
 F64 = np.float64
@@ -378,10 +378,9 @@ def test_criterion_5_bridge_contract(capsys):
         fused = ad.constant(np.asarray(rng.normal((b, config.p, config.d1), std=2.0),
                                        dtype=np.float32))
         mask = [rng.random() < 0.5 for _ in range(b)]
-        ind = [ad.constant(np.asarray(rng.normal((int(rng.integers(2, 7)), config.d1)),
-                                      dtype=np.float32)) if present else None
-               for present in mask]
-        out = bridge_forward(fused, ind, params, config)
+        ind = [np.asarray(rng.normal((int(rng.integers(2, 7)), config.d1)), dtype=np.float32)
+               if present else None for present in mask]
+        out = bridge_forward(fused, padded_indications(ind) if any(mask) else None, params, config)
         shape_ok &= out.shape == fused.shape
 
         absent = bridge_forward(fused, None, params, config)

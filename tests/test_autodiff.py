@@ -421,6 +421,35 @@ def test_grad_gather_rows():
     check_grads(lambda: scalarize(ad.gather_rows(table, idx), Rng(25)), [table])
 
 
+def test_grad_gather_rows_of_3d_parent_with_repeated_rows():
+    rng = Rng(115)
+    table = p64(rng, (5, 3, 4))
+    idx = np.array([[0, 2, 2], [4, 0, 0]])
+    check_grads(lambda: scalarize(ad.gather_rows(table, idx), Rng(26)), [table])
+
+
+def test_grad_slices_add_into_an_existing_gradient():
+    # narrow, gather_rows and take_last add into the parent's gradient in
+    # place; fan-out makes each one find a gradient already there
+    rng = Rng(116)
+    x = p64(rng, (3, 4, 5))
+
+    def loss():
+        parts = [
+            scalarize(ad.narrow(x, 1, 0, 3), Rng(27)),
+            scalarize(ad.narrow(x, 1, 2, 2), Rng(28)),
+            scalarize(ad.gather_rows(x, np.array([2, 2, 0])), Rng(29)),
+            ad.tsum(ad.take_last(x, np.array([[0, 4, 4, 1], [2, 2, 3, 0], [1, 1, 1, 1]]))),
+            ad.tsum(x * x),
+        ]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total
+
+    check_grads(loss, [x])
+
+
 # -- no_grad -----------------------------------------------------------------
 
 

@@ -7,14 +7,11 @@ import pytest
 from mvreport import autodiff as ad
 from mvreport.checkpoint import (
     check_compatibility,
-    dims_meta,
     load_checkpoint,
     save_checkpoint,
 )
 from mvreport.errors import CheckpointError
 from mvreport.rng import Rng
-
-from conftest import tiny_config
 
 
 def _params(seed=0):
@@ -37,7 +34,7 @@ def _dir_digest(root):
 def test_checkpoint_roundtrip(tmp_path):
     params = _params()
     extras = {"opt.stage1.txt.embed.m": np.ones((10, 8), dtype=np.float32)}
-    meta = {"stage": "stage1", "vocab_hash": "abc", "dims": dims_meta(tiny_config())}
+    meta = {"stage": "stage1", "vocab_hash": "abc"}
     save_checkpoint(tmp_path / "ck", params, meta, extras)
     loaded, loaded_extras, loaded_meta = load_checkpoint(tmp_path / "ck")
     assert set(loaded) == set(params)
@@ -52,7 +49,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_save_load_save_is_byte_identical(tmp_path):
     params = _params(seed=1)
-    meta = {"stage": "stage1", "dims": dims_meta(tiny_config())}
+    meta = {"stage": "stage1", "seed": 3}
     save_checkpoint(tmp_path / "a", params, meta)
     loaded, _, loaded_meta = load_checkpoint(tmp_path / "a")
     save_checkpoint(tmp_path / "b",
@@ -67,23 +64,31 @@ def test_load_missing_checkpoint(tmp_path):
         load_checkpoint(tmp_path / "nothing")
 
 
+def _shapes(params):
+    return {name: t.shape for name, t in params.items()}
+
+
 def test_check_compatibility_accepts_match():
-    config = tiny_config()
-    meta = {"stage": "stage1", "dims": dims_meta(config), "vocab_hash": "h"}
-    check_compatibility(meta, config, "h", "stage1")
+    params = _params()
+    meta = {"stage": "stage1", "vocab_hash": "h"}
+    check_compatibility(meta, params, _shapes(params), "h", "stage1")
 
 
 def test_check_compatibility_reports_every_mismatch():
-    config = tiny_config()
-    meta = {"stage": "stage2", "dims": dict(dims_meta(config), d1=99), "vocab_hash": "other"}
+    params = _params()
+    expected = dict(_shapes(params), **{"stage1.txt.embed": (10, 99), "stage1.txt.pos": (8, 8)})
+    del expected["stage1.vis.conv0.w"]
+    meta = {"stage": "stage2", "vocab_hash": "other"}
     with pytest.raises(CheckpointError) as err:
-        check_compatibility(meta, config, "h", "stage1")
+        check_compatibility(meta, params, expected, "h", "stage1")
     text = str(err.value)
     assert "stage:" in text
-    assert "d1: checkpoint=99" in text
     assert "vocab_hash:" in text
+    assert "stage1.txt.embed: checkpoint=(10, 8) config=(10, 99)" in text
+    assert "stage1.txt.pos: checkpoint=missing config=(8, 8)" in text
+    assert "stage1.vis.conv0.w: checkpoint=(4, 1, 3, 3) config=missing" in text
 
 
 def test_check_compatibility_tolerates_missing_fields():
-    config = tiny_config()
-    check_compatibility({"stage": "stage1"}, config, "h", "stage1")
+    params = _params()
+    check_compatibility({"stage": "stage1"}, params, _shapes(params), "h", "stage1")

@@ -104,6 +104,28 @@ def test_full_cli_pipeline(tmp_path, capsys):
     assert (out_dir / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("field", ["dec_layers", "max_tokens"])
+def test_generate_with_mismatched_config_is_checkpoint_error(tmp_path, capsys, field):
+    data_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "run"
+    base = {"data_dir": str(data_dir), "out_dir": str(out_dir)}
+    cfg = _write_config(tmp_path / "c.json", **base)
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 0
+    assert cli.main(["finetune", "--config", str(cfg), "--stage1-ckpt", str(out_dir / "stage1_best")]) == 0
+    capsys.readouterr()
+
+    grown = json.loads(cfg.read_text())[field] + 1
+    other = _write_config(tmp_path / "other.json", **base, **{field: grown})
+    assert cli.main(["generate", "--config", str(other), "--ckpt", str(out_dir / "stage2_best"),
+                     "--manifest", str(data_dir / "test.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "data error: incompatible checkpoint" in err
+    expected = "stage2.dec.l1.cross.wk: checkpoint=missing" if field == "dec_layers" else "stage2.dec.pos:"
+    assert expected in err
+    assert not (out_dir / "generations.jsonl").exists()
+
+
 def test_finetune_without_checkpoint_is_data_error(tmp_path, capsys):
     data_dir = tmp_path / "corpus"
     cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(tmp_path / "run"))

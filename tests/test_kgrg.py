@@ -27,7 +27,7 @@ from mvreport.rng import Rng
 from mvreport.synthetic import SynthSpec, build_vocabulary, synth_corpus
 from mvreport.text import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
-from conftest import make_study, tiny_config
+from conftest import make_study, padded_indications, tiny_config
 from decode_reference import reference_generate
 from gradcheck import directional_check, to_f64_params
 
@@ -72,15 +72,14 @@ def test_encode_indications_mixed_presence():
         view_counts=(1, 1, 2),
         indications=["male with cough", None, "female with fever"])
     feats = encode_indications(batch, params, vocab, config)
-    assert feats[1] is None
-    assert feats[0] is not None and feats[2] is not None
-    assert feats[0].shape == (5, config.d2)  # BOS + 3 tokens + EOS
-    assert feats[0].shape[1] == config.d2
+    assert not feats.pad_mask[1].any()
+    assert feats.pad_mask.sum(axis=1).tolist() == [5, 0, 5]  # BOS + 3 tokens + EOS
+    assert feats.tokens.shape == (3, feats.pad_mask.shape[1], config.d2)
 
 
 def test_encode_indications_all_absent():
     config, batch, vocab, params = _setup(view_counts=(1, 2))
-    assert encode_indications(batch, params, vocab, config) == [None, None]
+    assert encode_indications(batch, params, vocab, config) is None
 
 
 def test_bridge_zero_init_absent_equals_layer_norm():
@@ -95,19 +94,19 @@ def test_bridge_zero_init_absent_equals_layer_norm():
 def test_bridge_shape_independent_of_indication():
     config, _, _, params = _setup()
     fused = ad.constant(Rng(4).normal((3, config.p, config.d1)))
-    absent = bridge_forward(fused, [None, None, None], params, config)
-    ind = [None,
-           ad.constant(Rng(5).normal((4, config.d1))),
-           ad.constant(Rng(6).normal((7, config.d1)))]
+    absent = bridge_forward(fused, None, params, config)
+    ind = padded_indications([None, Rng(5).normal((4, config.d1)), Rng(6).normal((7, config.d1))])
     present = bridge_forward(fused, ind, params, config)
     assert absent.shape == present.shape == fused.shape
+    # a study without an indication attends over the bridge tokens alone
+    np.testing.assert_allclose(present.data[0], absent.data[0], atol=1e-6)
 
 
 def test_bridge_indication_changes_output_after_training_signal():
     # non-zero bridge/indication values must actually influence the output
     config, _, _, params = _setup()
     fused = ad.constant(Rng(7).normal((1, config.p, config.d1)))
-    ind = [ad.constant(Rng(8).normal((3, config.d1), std=2.0))]
+    ind = padded_indications([Rng(8).normal((3, config.d1), std=2.0)])
     absent = bridge_forward(fused, None, params, config)
     present = bridge_forward(fused, ind, params, config)
     assert np.abs(absent.data - present.data).max() > 1e-4
