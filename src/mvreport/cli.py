@@ -87,8 +87,7 @@ def _config_from_args(args) -> "RunConfig":
     return load_config(args.config, overrides)
 
 
-def cmd_synth(args) -> int:
-    config = _config_from_args(args)
+def cmd_synth(args, config) -> int:
     if args.dry_run:
         print("config ok")
         return EXIT_OK
@@ -108,8 +107,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    config = _config_from_args(args)
+def cmd_pretrain(args, config) -> int:
     if args.dry_run:
         print("config ok")
         return EXIT_OK
@@ -118,8 +116,7 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def cmd_finetune(args) -> int:
-    config = _config_from_args(args)
+def cmd_finetune(args, config) -> int:
     if args.dry_run:
         print("config ok")
         return EXIT_OK
@@ -128,8 +125,7 @@ def cmd_finetune(args) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    config = _config_from_args(args)
+def cmd_generate(args, config) -> int:
     mode, width = _parse_mode(args.mode)
     if args.dry_run:
         print("config ok")
@@ -140,8 +136,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    config = _config_from_args(args)
+def cmd_evaluate(args, config) -> int:
     if args.dry_run:
         print("config ok")
         return EXIT_OK
@@ -164,7 +159,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        config = _config_from_args(args)
+        return _COMMANDS[args.command](args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -172,7 +168,8 @@ def main(argv=None) -> int:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericalAbort as err:
-        dump_path = Path("numerical_abort_dump.json")
+        dump_path = Path(config.out_dir) / "numerical_abort_dump.json"
+        dump_path.parent.mkdir(parents=True, exist_ok=True)
         dump_path.write_text(json.dumps(err.dump, indent=2))
         print(f"numerical abort: {err} (diagnostics in {dump_path})", file=sys.stderr)
         return EXIT_NUMERICAL

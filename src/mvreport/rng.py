@@ -1,8 +1,16 @@
-"""Deterministic PRNG: xoshiro256++ seeded through SplitMix64.
+"""Deterministic counter-based PRNG: SplitMix64.
+
+Output *i* (i = 1, 2, ...) of ``Rng(seed)`` is ``mix64(seed + i * GAMMA)``,
+exactly the SplitMix64 sequence started from ``seed`` (Steele, Lea and Flood
+2014). Because every output depends only on its counter, a block of outputs
+is one vectorised uint64 expression, and scalar and array draws advance the
+same counter.
 
 All initialization, shuffling, and sampling in the package goes through
-this generator so runs are reproducible independent of platform and of
-numpy version.
+this generator. The uint64 stream, and so every integer, shuffle and
+``random()`` draw, is bit-exact on every platform. Normals go through
+NumPy's log/cos/sin, whose SIMD implementations differ between NumPy builds
+by about 1 ULP, so they are reproducible to that precision only.
 """
 
 from __future__ import annotations
@@ -12,19 +20,21 @@ import math
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+    return z ^ (z >> 31)
 
 
 def splitmix64(state: int):
     """One SplitMix64 step: returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
+    state = (state + _GAMMA) & _MASK
+    return state, _mix64(state)
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -37,29 +47,24 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 class Rng:
-    """xoshiro256++ generator with numpy-array convenience methods."""
+    """SplitMix64 generator: a seed plus a count of the outputs drawn."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK
-        state = self.seed
-        s = []
-        for _ in range(4):
-            state, out = splitmix64(state)
-            s.append(out)
-        self._s = s
+        self._counter = 0
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK, 23) + s0) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        self._counter += 1
+        return _mix64((self.seed + self._counter * _GAMMA) & _MASK)
+
+    def _u64(self, n: int) -> np.ndarray:
+        """The next ``n`` outputs as one uint64 array (wrapping arithmetic)."""
+        i = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        self._counter += n
+        z = np.uint64(self.seed) + i * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+        return z ^ (z >> np.uint64(31))
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
@@ -76,27 +81,20 @@ class Rng:
             if u < limit:
                 return low + (u % n)
 
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray | float:
-        if size is None:
-            return low + (high - low) * self.random()
-        n = int(np.prod(size))
-        u = np.array([self.random() for _ in range(n)], dtype=np.float64)
-        return (low + (high - low) * u).reshape(size)
-
     def normal(self, size, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """Box-Muller standard normals, scaled."""
+        """Box-Muller standard normals, scaled.
+
+        Pair k uses outputs (2k, 2k+1) as (u1, u2), with u1 = 1 - u in (0, 1],
+        and yields (r cos, r sin); an odd count drops the last sine value.
+        """
         n = int(np.prod(size))
-        out = np.empty(n, dtype=np.float64)
-        i = 0
-        while i < n:
-            u1 = 1.0 - self.random()  # (0, 1]
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(2.0 * math.pi * u2)
-            if i + 1 < n:
-                out[i + 1] = r * math.sin(2.0 * math.pi * u2)
-            i += 2
-        return (mean + std * out).reshape(size)
+        u = (self._u64(2 * ((n + 1) // 2)) >> np.uint64(11)) * (2.0 ** -53)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+        theta = 2.0 * math.pi * u[1::2]
+        out = np.empty(u.size, dtype=np.float64)
+        out[0::2] = r * np.cos(theta)
+        out[1::2] = r * np.sin(theta)
+        return (mean + std * out[:n]).reshape(size)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

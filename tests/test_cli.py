@@ -60,17 +60,19 @@ def test_missing_data_is_data_error(tmp_path, capsys):
 
 
 def test_numerical_abort_writes_dump(tmp_path, capsys, monkeypatch):
-    cfg = _write_config(tmp_path / "c.json")
+    cfg = _write_config(tmp_path / "c.json", out_dir=str(tmp_path / "run"))
 
     def boom(config, out_dir=None):
         raise NumericalAbort("loss became nan", dump={"step": 7, "loss": None})
 
     monkeypatch.setattr(cli, "pretrain_run", boom)
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["pretrain", "--config", str(cfg)]) == 3
-    dump = json.loads((tmp_path / "numerical_abort_dump.json").read_text())
-    assert dump["step"] == 7
-    assert "numerical abort" in capsys.readouterr().err
+    for extra, out_dir in (([], tmp_path / "run"), (["--out", "other"], tmp_path / "other")):
+        assert cli.main(["pretrain", "--config", str(cfg)] + extra) == 3
+        dump = json.loads((out_dir / "numerical_abort_dump.json").read_text())
+        assert dump["step"] == 7
+        assert "numerical abort" in capsys.readouterr().err
+    assert not (tmp_path / "numerical_abort_dump.json").exists()
 
 
 def test_synth_prints_stats_table(tmp_path, capsys):

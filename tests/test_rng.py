@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvreport.rng import Rng, derive_seed, splitmix64
@@ -75,6 +78,59 @@ def test_shuffle_is_permutation_and_deterministic():
     assert items3 != items1
 
 
-def test_uniform_range():
-    arr = Rng(5).uniform(-2.0, 3.0, size=(100,))
-    assert arr.min() >= -2.0 and arr.max() < 3.0
+def test_stream_is_splitmix64_reference():
+    r = Rng(1234567)
+    assert [r.next_u64() for _ in range(5)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+
+
+def test_stream_equals_splitmix64_steps():
+    state, expected = 2**64 - 3, []
+    for _ in range(8):
+        state, out = splitmix64(state)
+        expected.append(out)
+    r = Rng(2**64 - 3)
+    assert [r.next_u64() for _ in range(8)] == expected
+
+
+def test_array_and_scalar_draws_share_values_and_counter():
+    scalar = Rng(77)
+    reference = [scalar.next_u64() for _ in range(48)]
+    assert Rng(77)._u64(48).tolist() == reference
+    mixed, got = Rng(77), []
+    for k in (3, 1, 0, 7, 2, 11, 1, 15):
+        got += mixed._u64(k).tolist()
+        got.append(mixed.next_u64())
+    assert got == reference
+
+
+def _scalar_box_muller(rng, n):
+    out = []
+    while len(out) < n:
+        u1 = 1.0 - rng.random()
+        u2 = rng.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return np.array(out[:n])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 1])
+def test_normal_matches_scalar_box_muller(seed):
+    # NumPy's SIMD log/cos/sin may differ from libm by an ULP, so not bitwise.
+    got = Rng(seed).normal((4001,))
+    np.testing.assert_array_max_ulp(got, _scalar_box_muller(Rng(seed), 4001), maxulp=2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6])
+def test_normal_consumes_whole_pairs(n):
+    r = Rng(9)
+    r.normal((n,))
+    after = Rng(9)
+    for _ in range(2 * ((n + 1) // 2)):
+        after.next_u64()
+    assert r.next_u64() == after.next_u64()
