@@ -32,6 +32,8 @@ L2_EPS = 1e-12
 DEBUG_VALIDATE = False
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
+# Set once l2_normalize has logged its near-zero-norm warning, which it logs once per process.
+_near_zero_norm_warned = False
 
 
 def set_debug_validation(enabled: bool) -> None:
@@ -84,9 +86,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -509,9 +508,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale each last-axis row to unit Euclidean norm (eps-guarded)."""
+    global _near_zero_norm_warned
     norm = np.sqrt(_sum64(x.data * x.data, axis=-1, keepdims=True).astype(np.float64)).astype(x.dtype)
-    if np.any(norm < 1e-8):
-        _logger.warning("l2_normalize: near-zero row norm encountered; eps guard applied")
+    if np.any(norm < 1e-8) and not _near_zero_norm_warned:
+        _near_zero_norm_warned = True
+        _logger.warning("l2_normalize: near-zero row norm encountered; eps guard applied (logged once)")
     denom = norm + np.asarray(L2_EPS, dtype=x.dtype)
     out_data = x.data / denom
 

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_gen)
     p_gen.add_argument("--ckpt", required=True, help="Stage-2 checkpoint directory")
     p_gen.add_argument("--manifest", required=True, help="input manifest JSONL")
-    p_gen.add_argument("--mode", default="greedy", help="greedy | beam:K")
+    p_gen.add_argument("--mode", default="greedy", type=_parse_mode, help="greedy | beam:K")
 
     p_eval = sub.add_parser("evaluate", help="score a generations JSONL")
     common(p_eval)
@@ -88,9 +88,6 @@ def _config_from_args(args) -> "RunConfig":
 
 
 def cmd_synth(args, config) -> int:
-    if args.dry_run:
-        print("config ok")
-        return EXIT_OK
     spec = SynthSpec(
         n_studies=config.n_studies,
         view_count_range=(config.view_count_min, config.view_count_max),
@@ -108,28 +105,19 @@ def cmd_synth(args, config) -> int:
 
 
 def cmd_pretrain(args, config) -> int:
-    if args.dry_run:
-        print("config ok")
-        return EXIT_OK
     ckpt = pretrain_run(config)
     print(f"stage-1 checkpoint: {ckpt}")
     return EXIT_OK
 
 
 def cmd_finetune(args, config) -> int:
-    if args.dry_run:
-        print("config ok")
-        return EXIT_OK
     ckpt = finetune_run(config, stage1_ckpt=args.stage1_ckpt, allow_cold_start=args.allow_cold_start)
     print(f"stage-2 checkpoint: {ckpt}")
     return EXIT_OK
 
 
 def cmd_generate(args, config) -> int:
-    mode, width = _parse_mode(args.mode)
-    if args.dry_run:
-        print("config ok")
-        return EXIT_OK
+    mode, width = args.mode
     out_path = Path(config.out_dir) / "generations.jsonl"
     generate_run(args.ckpt, args.manifest, config, mode, width, out_path)
     print(f"generations: {out_path}")
@@ -137,9 +125,6 @@ def cmd_generate(args, config) -> int:
 
 
 def cmd_evaluate(args, config) -> int:
-    if args.dry_run:
-        print("config ok")
-        return EXIT_OK
     report = evaluate_run(args.generations, config.out_dir)
     print(json.dumps({k: report[k] for k in ("bleu", "rouge_l", "meteor")}, indent=2))
     return EXIT_OK
@@ -160,6 +145,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
+        if args.dry_run:
+            print("config ok")
+            return EXIT_OK
         return _COMMANDS[args.command](args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

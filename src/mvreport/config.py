@@ -73,15 +73,15 @@ class RunConfig:
             raise UsageError(f"image_size must be a multiple of 8 (three stride-2 blocks), got {self.image_size}")
         if not 0.0 <= self.indication_rate <= 1.0:
             raise UsageError(f"indication_rate must be in [0, 1], got {self.indication_rate}")
+        if not 1 <= self.view_count_min <= self.view_count_max:
+            raise UsageError(f"view counts must satisfy 1 <= view_count_min <= view_count_max, "
+                             f"got {self.view_count_min} and {self.view_count_max}")
 
     @property
     def p(self) -> int:
         """Flattened feature-map positions after the three stride-2 blocks."""
         side = self.image_size // 8
         return side * side
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def load_config(path=None, overrides=None) -> RunConfig:

@@ -34,9 +34,13 @@ def read_tensor(path) -> np.ndarray:
     blob = path.read_bytes()
     if blob[:4] != MAGIC:
         raise DataError(f"bad TEN1 magic in {path}: {blob[:4]!r}")
+    if len(blob) < 5:
+        raise DataError(f"truncated TEN1 header in {path}: no ndim byte")
     (ndim,) = struct.unpack_from("<B", blob, 4)
-    dims = struct.unpack_from(f"<{ndim}I", blob, 5)
     offset = 5 + 4 * ndim
+    if len(blob) < offset:
+        raise DataError(f"truncated TEN1 header in {path}: {ndim} dims need {offset} bytes, got {len(blob)}")
+    dims = struct.unpack_from(f"<{ndim}I", blob, 5)
     count = int(np.prod(dims)) if ndim else 1
     expected = offset + 4 * count
     if len(blob) != expected:

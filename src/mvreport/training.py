@@ -48,14 +48,51 @@ def _append_jsonl(path: Path, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def validation_stage1_loss(studies, params, vocab, config: RunConfig) -> float:
+def _mean_val_loss(loss_fn, studies, params, vocab, config: RunConfig) -> float:
+    """Batch-weighted mean of ``loss_fn(batch, params, vocab, config)`` without an autodiff graph."""
     total, count = 0.0, 0
     with ad.no_grad():
         for batch in make_batches(studies, config.batch_size, seed=derive_seed(config.seed, "val-order")):
-            loss, *_ = stage1_forward(batch, params, vocab, config)
-            total += loss.item() * batch.B
+            total += loss_fn(batch, params, vocab, config).item() * batch.B
             count += batch.B
     return total / count
+
+
+def validation_stage1_loss(studies, params, vocab, config: RunConfig) -> float:
+    return _mean_val_loss(lambda *args: stage1_forward(*args)[0], studies, params, vocab, config)
+
+
+def validation_lm_loss(studies, params, vocab, config: RunConfig) -> float:
+    return _mean_val_loss(lm_loss, studies, params, vocab, config)
+
+
+def _train_epochs(config: RunConfig, stage: str, epoch_label: str, log_path: Path,
+                  train, params, vocab, step_fn, validate) -> Path:
+    """The epoch loop of both stages; returns the ``<stage>_best`` directory.
+
+    ``step_fn(batch)`` trains one step and returns its log fields; after each
+    epoch ``validate()`` returns ``(score, fields)``. ``<stage>_best`` is
+    saved after the first epoch and whenever ``score`` is higher."""
+    ckpt_dir = log_path.parent / f"{stage}_best"
+    log_path.write_text("")
+    best = None
+    step = 0
+    for epoch in range(config.epochs):
+        for batch in make_batches(train, config.batch_size, seed=derive_seed(config.seed, f"{epoch_label}-{epoch}")):
+            step += 1
+            _append_jsonl(log_path, {"step": step, **step_fn(batch), "seed": config.seed})
+            if config.max_steps and step >= config.max_steps:
+                break
+        score, fields = validate()
+        _append_jsonl(log_path, {"epoch": epoch, **fields, "seed": config.seed})
+        if best is None or score > best:
+            best = score
+            meta = {"stage": stage, "vocab_hash": vocab.content_hash(), "vocab": vocab.id_to_token,
+                    "seed": config.seed, **fields, "step": step}
+            save_checkpoint(ckpt_dir, params, meta)
+        if config.max_steps and step >= config.max_steps:
+            break
+    return ckpt_dir
 
 
 def pretrain_run(config: RunConfig, out_dir=None) -> Path:
@@ -67,35 +104,18 @@ def pretrain_run(config: RunConfig, out_dir=None) -> Path:
     vocab = build_vocabulary(train)
     params = mvcl_init_params(config, vocab)
     optimizer = AdamW([(params, config.lr_stage1)], weight_decay=config.weight_decay)
-    log_path = out / "pretrain_log.jsonl"
-    log_path.write_text("")
 
-    best_val = float("inf")
-    step = 0
-    ckpt_dir = out / "stage1_best"
-    for epoch in range(config.epochs):
-        for batch in make_batches(train, config.batch_size, seed=derive_seed(config.seed, f"epoch-{epoch}")):
-            breakdown = pretrain_step(batch, params, vocab, optimizer, config)
-            step += 1
-            _append_jsonl(log_path, {
-                "step": step, "mpc": breakdown.mpc, "inst": breakdown.inst,
-                "tok": breakdown.tok, "total": breakdown.total,
-                "lr": config.lr_stage1, "seed": config.seed,
-            })
-            if config.max_steps and step >= config.max_steps:
-                break
-        val_loss = validation_stage1_loss(val, params, vocab, config)
-        _append_jsonl(log_path, {"epoch": epoch, "val_total": val_loss, "seed": config.seed})
-        if val_loss < best_val:
-            best_val = val_loss
-            _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage="stage1",
-                                   extra_meta={"val_total": val_loss, "step": step})
-        if config.max_steps and step >= config.max_steps:
-            break
-    if not (ckpt_dir / "meta.json").exists():
-        _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage="stage1",
-                               extra_meta={"val_total": best_val, "step": step})
-    return ckpt_dir
+    def step_fn(batch):
+        losses = pretrain_step(batch, params, vocab, optimizer, config)
+        return {"mpc": losses.mpc, "inst": losses.inst, "tok": losses.tok, "total": losses.total,
+                "lr": config.lr_stage1}
+
+    def validate():
+        val_total = validation_stage1_loss(val, params, vocab, config)
+        return -val_total, {"val_total": val_total}
+
+    return _train_epochs(config, "stage1", "epoch", out / "pretrain_log.jsonl",
+                         train, params, vocab, step_fn, validate)
 
 
 def mvcl_init_params(config: RunConfig, vocab) -> dict:
@@ -115,26 +135,6 @@ def _param_shapes(config: RunConfig, vocab, stage: str) -> dict:
     if stage == "stage2":
         params.update(init_stage2_params(config, len(vocab), _ShapesOnly()))
     return {name: t.shape for name, t in params.items()}
-
-
-def _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage, extra_meta=None) -> None:
-    meta = {
-        "stage": stage,
-        "vocab_hash": vocab.content_hash(),
-        "vocab": vocab.id_to_token,
-        "seed": config.seed,
-    }
-    meta.update(extra_meta or {})
-    save_checkpoint(ckpt_dir, params, meta)
-
-
-def validation_lm_loss(studies, params, vocab, config: RunConfig) -> float:
-    total, count = 0.0, 0
-    with ad.no_grad():
-        for batch in make_batches(studies, config.batch_size, seed=derive_seed(config.seed, "val-order")):
-            total += lm_loss(batch, params, vocab, config).item() * batch.B
-            count += batch.B
-    return total / count
 
 
 def validation_bleu4(studies, params, vocab, config: RunConfig) -> float:
@@ -172,36 +172,18 @@ def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = F
         [(group1, config.lr_stage2_pretrained), (group2, config.lr_stage2_fresh)],
         weight_decay=config.weight_decay,
     )
-    log_path = out / "finetune_log.jsonl"
-    log_path.write_text("")
 
-    best_score = None
-    step = 0
-    ckpt_dir = out / "stage2_best"
-    for epoch in range(config.epochs):
-        for batch in make_batches(train, config.batch_size, seed=derive_seed(config.seed, f"ft-epoch-{epoch}")):
-            value = finetune_step(batch, params, vocab, optimizer, config)
-            step += 1
-            _append_jsonl(log_path, {
-                "step": step, "lm": value,
-                "lr_pretrained": config.lr_stage2_pretrained, "lr_fresh": config.lr_stage2_fresh,
-                "seed": config.seed,
-            })
-            if config.max_steps and step >= config.max_steps:
-                break
+    def step_fn(batch):
+        return {"lm": finetune_step(batch, params, vocab, optimizer, config),
+                "lr_pretrained": config.lr_stage2_pretrained, "lr_fresh": config.lr_stage2_fresh}
+
+    def validate():
         val_lm = validation_lm_loss(val, params, vocab, config)
         val_b4 = validation_bleu4(val, params, vocab, config)
-        score = (round(val_b4, 6), -val_lm)
-        _append_jsonl(log_path, {"epoch": epoch, "val_lm": val_lm, "val_bleu4": val_b4, "seed": config.seed})
-        if best_score is None or score > best_score:
-            best_score = score
-            _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage="stage2",
-                                   extra_meta={"val_lm": val_lm, "val_bleu4": val_b4, "step": step})
-        if config.max_steps and step >= config.max_steps:
-            break
-    if not (ckpt_dir / "meta.json").exists():
-        _save_stage_checkpoint(ckpt_dir, params, vocab, config, stage="stage2", extra_meta={"step": step})
-    return ckpt_dir
+        return (round(val_b4, 6), -val_lm), {"val_lm": val_lm, "val_bleu4": val_b4}
+
+    return _train_epochs(config, "stage2", "ft-epoch", out / "finetune_log.jsonl",
+                         train, params, vocab, step_fn, validate)
 
 
 def generate_run(ckpt_dir, manifest_path, config: RunConfig, mode: str, beam_width: int, out_path) -> Path:

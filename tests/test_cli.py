@@ -29,6 +29,21 @@ def test_dry_run_exits_zero(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("views", [{"view_count_min": 0}, {"view_count_min": 3, "view_count_max": 2}])
+def test_bad_view_counts_fail_dry_run(tmp_path, capsys, views):
+    cfg = _write_config(tmp_path / "c.json", **views)
+    assert cli.main(["synth", "--config", str(cfg), "--dry-run"]) == 1
+    assert "view_count_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+def test_bad_mode_is_usage_error(tmp_path, capsys, dry_run):
+    cfg = _write_config(tmp_path / "c.json")
+    argv = ["generate", "--config", str(cfg), "--ckpt", "ckpt", "--manifest", "m.jsonl", "--mode", "sample"]
+    assert cli.main(argv + dry_run) == 1
+    assert "--mode must be" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -57,6 +72,18 @@ def test_missing_data_is_data_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", data_dir=str(tmp_path / "nowhere"))
     assert cli.main(["pretrain", "--config", str(cfg)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_truncated_view_is_data_error(tmp_path, capsys):
+    data_dir = tmp_path / "corpus"
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(tmp_path / "run"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    first = json.loads((data_dir / "train.jsonl").read_text().splitlines()[0])
+    view = data_dir / first["views"][0]
+    view.write_bytes(view.read_bytes()[:6])
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 2
+    assert "data error: truncated TEN1 header" in capsys.readouterr().err
 
 
 def test_numerical_abort_writes_dump(tmp_path, capsys, monkeypatch):

@@ -38,12 +38,13 @@ def test_bad_magic(tmp_path):
         read_tensor(path)
 
 
-def test_truncated_payload(tmp_path):
+@pytest.mark.parametrize("cut", [4, 6, 9, -4])
+def test_truncated_payload(tmp_path, cut):
     path = tmp_path / "t.ten"
     write_tensor(path, np.zeros((3, 3), dtype=np.float32))
     blob = path.read_bytes()
-    path.write_bytes(blob[:-4])
-    with pytest.raises(DataError, match="size"):
+    path.write_bytes(blob[:cut])
+    with pytest.raises(DataError, match="truncated TEN1 header" if cut > 0 else "size"):
         read_tensor(path)
 
 

@@ -168,8 +168,7 @@ def test_validation_helpers_are_deterministic(corpus_dir, tmp_path):
     assert a == b
 
 
-def test_finetune_resume_matches_uninterrupted(corpus_dir, tmp_path):
-    # training twice with the same seed and steps gives identical logs
+def test_same_seed_finetune_runs_write_identical_logs(corpus_dir, tmp_path):
     config_a = _config(corpus_dir, tmp_path / "a", max_steps=3)
     config_b = _config(corpus_dir, tmp_path / "b", max_steps=3)
     s1 = pretrain_run(_config(corpus_dir, tmp_path / "s1"))
@@ -177,3 +176,33 @@ def test_finetune_resume_matches_uninterrupted(corpus_dir, tmp_path):
     finetune_run(config_b, stage1_ckpt=s1)
     assert (tmp_path / "a" / "finetune_log.jsonl").read_text() == \
            (tmp_path / "b" / "finetune_log.jsonl").read_text()
+
+
+def test_best_checkpoint_is_the_best_logged_epoch(corpus_dir, tmp_path):
+    config = _config(corpus_dir, tmp_path / "run", epochs=3, max_steps=0)
+    s1 = pretrain_run(config)
+    s2 = finetune_run(config, stage1_ckpt=s1)
+
+    def epochs(log_name):
+        """(step reached, validation fields) of each epoch, in order."""
+        rows, step = [], 0
+        for row in _read_jsonl(tmp_path / "run" / log_name):
+            if "epoch" in row:
+                rows.append((step, row))
+            else:
+                step = row["step"]
+        assert [row["epoch"] for _, row in rows] == [0, 1, 2]
+        return rows
+
+    # lowest val_total, the earliest epoch on ties
+    pre = epochs("pretrain_log.jsonl")
+    best = min(range(len(pre)), key=lambda i: (pre[i][1]["val_total"], i))
+    meta = load_checkpoint(s1)[2]
+    assert (meta["step"], meta["val_total"]) == (pre[best][0], pre[best][1]["val_total"])
+
+    # highest (BLEU-4 to 6 places, -val_lm), the earliest epoch on ties
+    ft = epochs("finetune_log.jsonl")
+    best = max(range(len(ft)), key=lambda i: (round(ft[i][1]["val_bleu4"], 6), -ft[i][1]["val_lm"], -i))
+    meta = load_checkpoint(s2)[2]
+    assert (meta["step"], meta["val_lm"], meta["val_bleu4"]) == \
+           (ft[best][0], ft[best][1]["val_lm"], ft[best][1]["val_bleu4"])
