@@ -151,13 +151,19 @@ class DecoderCache:
         return self.pad_keys.shape[1]
 
     def reorder(self, rows) -> None:
-        """Keep the given rows of the self-attention state, in order (a row
-        may repeat). The result records no graph. Cross-attention
-        keys/values are left as they are: over one study's knowledge they
-        broadcast to every row."""
+        """Keep the given rows of the cache, in order (a row may repeat):
+        cross-attention and self-attention keys/values and the PAD mask
+        alike. The result records no graph."""
         rows = np.asarray(rows, dtype=np.int64)
-        self.self_kv = [(ad.constant(k.data[rows], dtype=k.dtype), ad.constant(v.data[rows], dtype=v.dtype))
-                        for k, v in self.self_kv]
+        if np.array_equal(rows, np.arange(len(self.pad_keys))):
+            return
+
+        def keep(pairs):
+            return [(ad.constant(k.data[rows], dtype=k.dtype), ad.constant(v.data[rows], dtype=v.dtype))
+                    for k, v in pairs]
+
+        self.cross = keep(self.cross)
+        self.self_kv = keep(self.self_kv)
         self.pad_keys = self.pad_keys[rows]
 
 
@@ -280,49 +286,61 @@ def generate(study, params: dict, vocab, config: RunConfig, mode: str = "greedy"
     cached decoder call, then reorders the cache rows to the surviving
     hypotheses' parents. No graph is recorded.
     """
+    return generate_batch([study], params, vocab, config, mode=mode, beam_width=beam_width)[0]
+
+
+def generate_batch(studies, params: dict, vocab, config: RunConfig, mode: str = "greedy",
+                   beam_width: int = 1) -> list[GenerationOutput]:
+    """``generate`` for several studies at once, one output per study, in order.
+
+    The live hypotheses of all studies are the rows of one cached decoder
+    call per step; each study ranks its own candidates, so its output does
+    not depend on the studies that share its batch. Rows of finished
+    hypotheses drop out of the cache.
+    """
     if mode == "greedy":
         beam_width = 1
     elif mode != "beam":
         raise ValueError(f"unknown decoding mode: {mode}")
+    if beam_width < 1:
+        raise ValueError(f"beam width must be >= 1, got {beam_width}")
 
     with ad.no_grad():
-        knowledge = stage2_knowledge(Batch([study]), params, vocab, config)
+        knowledge = stage2_knowledge(Batch(studies), params, vocab, config)
         cache = DecoderCache()
-        # hypothesis: (ids-after-BOS tuple, logprobs tuple, score, finished,
-        #             cache row of its parent in the last step)
-        hyps = [((), (), 0.0, False, 0)]
+        # per study, its hypotheses: (ids-after-BOS tuple, logprobs tuple, score,
+        #                              finished, cache row of its parent in the last step)
+        beams = [[((), (), 0.0, False, i)] for i in range(len(studies))]
         for _ in range(config.max_tokens):
-            tokens = np.asarray([[h[0][-1] if h[0] else BOS_ID] for h in hyps if not h[3]], dtype=np.int64)
+            live = [h for hyps in beams for h in hyps if not h[3]]
+            tokens = np.asarray([[h[0][-1] if h[0] else BOS_ID] for h in live], dtype=np.int64)
             logits = decoder_forward(tokens, knowledge, params, config, cache=cache)
             logp_rows = ad.log_softmax_rows(logits).data[:, -1].astype(np.float64)
-            candidates = []
+            top = np.argsort(-logp_rows, axis=1, kind="stable")[:, :beam_width]
             row = 0
-            for hyp in hyps:
-                ids, lps, score, finished, _ = hyp
-                if finished:
-                    candidates.append(hyp)
-                    continue
-                logp = logp_rows[row]
-                order = np.argsort(-logp, kind="stable")[:beam_width]
-                for tok in order:
-                    tok = int(tok)
-                    if tok == EOS_ID:
-                        candidates.append((ids, lps, score + logp[tok], True, row))
-                    else:
-                        candidates.append((ids + (tok,), lps + (logp[tok],), score + logp[tok], False, row))
-                row += 1
-            candidates.sort(key=lambda c: (-c[2], c[0]))
-            hyps = candidates[:beam_width]
-            live_rows = [h[4] for h in hyps if not h[3]]
+            for s, hyps in enumerate(beams):
+                candidates = []
+                for hyp in hyps:
+                    ids, lps, score, finished, _ = hyp
+                    if finished:
+                        candidates.append(hyp)
+                        continue
+                    logp = logp_rows[row]
+                    for tok in top[row].tolist():
+                        if tok == EOS_ID:
+                            candidates.append((ids, lps, score + logp[tok], True, row))
+                        else:
+                            candidates.append((ids + (tok,), lps + (logp[tok],), score + logp[tok], False, row))
+                    row += 1
+                candidates.sort(key=lambda c: (-c[2], c[0]))
+                beams[s] = candidates[:beam_width]
+            live_rows = [h[4] for hyps in beams for h in hyps if not h[3]]
             if not live_rows:
                 break
             cache.reorder(live_rows)
-    best = hyps[0]
-    return GenerationOutput(
-        token_ids=list(best[0]),
-        token_logprobs=[float(v) for v in best[1]],
-        stopped_by="eos" if best[3] else "max_len",
-    )
+    return [GenerationOutput(token_ids=list(best[0]), token_logprobs=[float(v) for v in best[1]],
+                             stopped_by="eos" if best[3] else "max_len")
+            for best in (hyps[0] for hyps in beams)]
 
 
 def teacher_forced_logprobs(study, token_ids, params: dict, vocab, config: RunConfig) -> np.ndarray:

@@ -14,7 +14,10 @@ from .config import RunConfig
 from .data import load_manifest, make_batches
 from .encoders import init_stage1_params
 from .errors import CheckpointError, DataError
-from .kgrg import finetune_step, generate, init_stage2_params, lm_loss, split_param_groups
+from .kgrg import finetune_step, generate_batch, init_stage2_params, lm_loss, split_param_groups
+# the one-study entry point stays importable from here: perfbench/tests checks that the
+# tracer patches this binding too
+from .kgrg import generate  # noqa: F401
 from .metrics import GreenCounts, bleu, ce_f1, green_score, meteor_simplified, rouge_l
 from .mvcl import pretrain_step, stage1_forward
 from .optim import AdamW
@@ -97,10 +100,10 @@ def _train_epochs(config: RunConfig, stage: str, epoch_label: str, log_path: Pat
 
 def pretrain_run(config: RunConfig, out_dir=None) -> Path:
     """Stage-1 training loop; returns the best-checkpoint directory."""
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train = _load_split(config, "train")
     val = _load_split(config, "val")
+    out = Path(out_dir or config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     vocab = build_vocabulary(train)
     params = mvcl_init_params(config, vocab)
     optimizer = AdamW([(params, config.lr_stage1)], weight_decay=config.weight_decay)
@@ -137,10 +140,17 @@ def _param_shapes(config: RunConfig, vocab, stage: str) -> dict:
     return {name: t.shape for name, t in params.items()}
 
 
+def _decode(studies, params, vocab, config: RunConfig, mode: str = "greedy", beam_width: int = 1):
+    """``(study, GenerationOutput)`` for every study, in order, decoded
+    ``config.batch_size`` studies at a time."""
+    for start in range(0, len(studies), config.batch_size):
+        chunk = studies[start:start + config.batch_size]
+        yield from zip(chunk, generate_batch(chunk, params, vocab, config, mode=mode, beam_width=beam_width))
+
+
 def validation_bleu4(studies, params, vocab, config: RunConfig) -> float:
     cands, refs = [], []
-    for study in studies:
-        output = generate(study, params, vocab, config, mode="greedy")
+    for study, output in _decode(studies, params, vocab, config):
         cands.append(vocab.decode(output.token_ids))
         refs.append(tokenize(study.report))
     return bleu(cands, refs)[3]
@@ -148,11 +158,8 @@ def validation_bleu4(studies, params, vocab, config: RunConfig) -> float:
 
 def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = False, out_dir=None) -> Path:
     """Stage-2 training loop with two learning-rate groups."""
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train = _load_split(config, "train")
     val = _load_split(config, "val")
-
     if stage1_ckpt is not None:
         stage1_params, _, meta = load_checkpoint(stage1_ckpt)
         vocab = _vocab_from_meta(meta)
@@ -164,6 +171,8 @@ def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = F
         log.warning("cold start: Stage-2 runs without a Stage-1 checkpoint")
     else:
         raise CheckpointError("Stage-1 checkpoint required (pass --allow-cold-start to override)")
+    out = Path(out_dir or config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     params = dict(stage1_params)
     params.update(init_stage2_params(config, len(vocab), Rng(derive_seed(config.seed, "stage2-init"))))
@@ -196,8 +205,7 @@ def generate_run(ckpt_dir, manifest_path, config: RunConfig, mode: str, beam_wid
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for study in studies:
-            output = generate(study, params, vocab, config, mode=mode, beam_width=beam_width)
+        for study, output in _decode(studies, params, vocab, config, mode, beam_width):
             fh.write(json.dumps({
                 "study_id": study.study_id,
                 "generated": " ".join(vocab.decode(output.token_ids)),

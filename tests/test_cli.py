@@ -74,6 +74,24 @@ def test_missing_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["pretrain"], ["finetune", "--allow-cold-start"]])
+def test_data_error_leaves_no_output_directory(tmp_path, capsys, command):
+    out_dir = tmp_path / "run"
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(tmp_path / "nowhere"), out_dir=str(out_dir))
+    assert cli.main(command + ["--config", str(cfg)]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_missing_stage1_checkpoint_leaves_no_output_directory(tmp_path, capsys):
+    data_dir, out_dir = tmp_path / "corpus", tmp_path / "run"
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(out_dir))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    assert cli.main(["finetune", "--config", str(cfg), "--stage1-ckpt", str(tmp_path / "no_ckpt")]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_truncated_view_is_data_error(tmp_path, capsys):
     data_dir = tmp_path / "corpus"
     cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(tmp_path / "run"))

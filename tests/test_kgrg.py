@@ -14,6 +14,7 @@ from mvreport.kgrg import (
     encode_indications,
     finetune_step,
     generate,
+    generate_batch,
     init_stage2_params,
     lm_loss,
     lm_loss_from_ids,
@@ -262,8 +263,10 @@ def test_beam_one_equals_greedy():
 
 def test_generate_unknown_mode():
     config, batch, vocab, params = _setup()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown decoding mode"):
         generate(batch.studies[0], params, vocab, config, mode="sampling")
+    with pytest.raises(ValueError, match="beam width"):
+        generate(batch.studies[0], params, vocab, config, mode="beam", beam_width=0)
 
 
 def test_decode_score_consistency():
@@ -308,7 +311,8 @@ def test_generate_matches_full_prefix_reference(dec_layers, dtype):
 @pytest.mark.parametrize("dec_layers", [1, 2])
 def test_cached_decoder_steps_match_full_prefix(dec_layers, dtype):
     config, batch, vocab, params = _decode_setup(0, dec_layers, dtype)
-    knowledge = stage2_knowledge(Batch(batch.studies[1:2]), params, vocab, config)
+    knowledge = stage2_knowledge(batch, params, vocab, config)  # one row per study
+    origin = np.arange(3)  # the knowledge row each sequence decodes from
     seqs = np.random.default_rng(dec_layers).integers(3, len(vocab), size=(3, config.max_tokens + 1))
     seqs[:, 0] = BOS_ID
     seqs[:, 2] = PAD_ID
@@ -321,15 +325,74 @@ def test_cached_decoder_steps_match_full_prefix(dec_layers, dtype):
         for start, stop in zip(starts, starts[1:] + [config.max_tokens + 1]):
             if start == 6:  # beam-style reorder: rows 1 and 2 continue row 0, row 0 continues row 2
                 seqs = np.concatenate([seqs[[2, 0, 0], :start], seqs[:, start:]], axis=1)
+                origin = origin[[2, 0, 0]]
                 cache.reorder([2, 0, 0])
             step = decoder_forward(seqs[:, start:stop], knowledge, params, config, cache=cache)
             assert cache.length == stop
             for row in range(3):
-                full = decoder_forward(seqs[row:row + 1, :stop], knowledge, params, config)
+                own = ad.constant(knowledge.data[origin[row]:origin[row] + 1], dtype=knowledge.dtype)
+                full = decoder_forward(seqs[row:row + 1, :stop], own, params, config)
                 np.testing.assert_allclose(step.data[row], full.data[0, start:stop], rtol=0, atol=tol)
         with pytest.raises(DimensionError):
             decoder_forward(seqs[:, :1], knowledge, params, config, cache=cache)
     assert cache.length == config.max_tokens + 1
+
+
+def _batch_decode_setup(seed, dec_layers, dtype, eos_bias=0.75):
+    """Five studies of 1-3 views, some with an indication, with an EOS logit
+    bias under which the studies of a batch stop at different steps."""
+    config, batch, vocab, params = _setup(
+        view_counts=(1, 3, 2, 1, 2), seed=seed, dec_layers=dec_layers,
+        indications=["male with cough", None, "female with fever", None, "male with fever"])
+    if dtype == np.float64:
+        params = to_f64_params(params)
+    params["stage2.dec.out.b"].data[EOS_ID] += eos_bias
+    return config, batch.studies, vocab, params
+
+
+def _assert_same_output(out, ref, tol):
+    assert out.token_ids == ref.token_ids
+    assert out.stopped_by == ref.stopped_by
+    np.testing.assert_allclose(out.token_logprobs, ref.token_logprobs, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+@pytest.mark.parametrize("mode,width", [("greedy", 1), ("beam", 3)])
+def test_generate_batch_matches_per_study_reference(mode, width, dec_layers, dtype):
+    lengths = []
+    for seed in (0, 2, 3):
+        config, studies, vocab, params = _batch_decode_setup(seed, dec_layers, dtype)
+        outputs = generate_batch(studies, params, vocab, config, mode=mode, beam_width=width)
+        assert len(outputs) == len(studies)
+        for study, out in zip(studies, outputs):
+            ref = reference_generate(study, params, vocab, config, mode=mode, beam_width=width)
+            _assert_same_output(out, ref, DECODE_TOL[dtype])
+        lengths.append([len(out.token_ids) for out in outputs])
+    # some batch has rows that finish while others decode on
+    assert any(len(set(batch_lengths)) > 1 for batch_lengths in lengths), lengths
+
+
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_generate_batch_beam_one_equals_greedy(dec_layers):
+    for seed in (0, 2, 3):
+        config, studies, vocab, params = _batch_decode_setup(seed, dec_layers, np.float32)
+        greedy = generate_batch(studies, params, vocab, config, mode="greedy")
+        beam1 = generate_batch(studies, params, vocab, config, mode="beam", beam_width=1)
+        for g, b in zip(greedy, beam1):
+            _assert_same_output(b, g, 0.0)
+
+
+@pytest.mark.parametrize("mode,width", [("greedy", 1), ("beam", 3)])
+def test_generate_batch_output_independent_of_batch_mates(mode, width):
+    config, studies, vocab, params = _batch_decode_setup(0, 2, np.float64)
+    together = generate_batch(studies, params, vocab, config, mode=mode, beam_width=width)
+    reversed_ = generate_batch(studies[::-1], params, vocab, config, mode=mode, beam_width=width)[::-1]
+    pairs = generate_batch(studies[1:3], params, vocab, config, mode=mode, beam_width=width)
+    alone = [generate(study, params, vocab, config, mode=mode, beam_width=width) for study in studies]
+    for i, out in enumerate(together):
+        for other in (reversed_[i], alone[i], *([pairs[i - 1]] if i in (1, 2) else [])):
+            _assert_same_output(other, out, DECODE_TOL[np.float64])
 
 
 def test_decoder_forward_under_no_grad_records_no_graph():

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from mvreport import training
 from mvreport.checkpoint import load_checkpoint
+from mvreport.data import load_manifest
 from mvreport.errors import CheckpointError, DataError
+from mvreport.kgrg import generate
 from mvreport.synthetic import SynthSpec, generate_records, write_corpus
 from mvreport.training import (
     evaluate_run,
@@ -110,6 +113,68 @@ def test_finetune_cold_start_allowed(corpus_dir, tmp_path, caplog):
         ckpt = finetune_run(config, allow_cold_start=True)
     assert (ckpt / "meta.json").exists()
     assert any("cold start" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.fixture(scope="module")
+def stage2_ckpt(corpus_dir, tmp_path_factory):
+    config = _config(corpus_dir, tmp_path_factory.mktemp("stage2"))
+    return finetune_run(config, stage1_ckpt=pretrain_run(config))
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The number of studies in each ``generate_batch`` call made from training."""
+    sizes = []
+
+    def spy(studies, *args, **kwargs):
+        sizes.append(len(studies))
+        return real(studies, *args, **kwargs)
+
+    real = training.generate_batch
+    monkeypatch.setattr(training, "generate_batch", spy)
+    return sizes
+
+
+def test_generate_run_on_no_usable_study_writes_empty_file(corpus_dir, stage2_ckpt, tmp_path, chunk_sizes):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text(json.dumps({"study_id": "x", "views": ["x.ten"], "report": " "}) + "\n")
+    config = _config(corpus_dir, tmp_path / "run")
+    gen_path = generate_run(stage2_ckpt, manifest, config, mode="beam", beam_width=2,
+                            out_path=tmp_path / "run" / "gen.jsonl")
+    assert gen_path.read_text() == ""
+    assert chunk_sizes == []
+
+
+@pytest.mark.parametrize("mode,width", [("greedy", 1), ("beam", 2)])
+def test_generate_run_chunks_keep_manifest_order(corpus_dir, stage2_ckpt, tmp_path, chunk_sizes, mode, width):
+    manifest = tmp_path / "five.jsonl"
+    records = _read_jsonl(Path(corpus_dir) / "train.jsonl")[:5]
+    for record in records:
+        record["views"] = [str(Path(corpus_dir) / view) for view in record["views"]]
+    manifest.write_text("".join(json.dumps(record) + "\n" for record in records))
+    config = _config(corpus_dir, tmp_path / "run", batch_size=2)
+    gens = _read_jsonl(generate_run(stage2_ckpt, manifest, config, mode=mode, beam_width=width,
+                                    out_path=tmp_path / "run" / "gen.jsonl"))
+    assert chunk_sizes == [2, 2, 1]
+    studies = load_manifest(manifest)
+    assert [g["study_id"] for g in gens] == [s.study_id for s in studies]
+    params, _, meta = load_checkpoint(stage2_ckpt)
+    vocab = training._vocab_from_meta(meta)
+    for study, gen in zip(studies, gens):
+        alone = generate(study, params, vocab, config, mode=mode, beam_width=width)
+        assert gen["generated"] == " ".join(vocab.decode(alone.token_ids))
+        assert gen["stopped_by"] == alone.stopped_by
+        assert gen["logprob_sum"] == pytest.approx(sum(alone.token_logprobs), abs=1e-5)
+
+
+def test_validation_bleu4_decodes_in_batch_size_chunks(corpus_dir, stage2_ckpt, tmp_path, chunk_sizes):
+    params, _, meta = load_checkpoint(stage2_ckpt)
+    vocab = training._vocab_from_meta(meta)
+    train = load_manifest(Path(corpus_dir) / "train.jsonl")
+    config = _config(corpus_dir, tmp_path / "run", batch_size=4)
+    score = validation_bleu4(train, params, vocab, config)
+    assert chunk_sizes == [4, 2]
+    assert 0.0 <= score <= 1.0
 
 
 def test_generate_run_rejects_stage1_checkpoint(corpus_dir, tmp_path):
