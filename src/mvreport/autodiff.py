@@ -562,59 +562,58 @@ def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    """[N, H, W, C] -> columns [N*Ho*Wo, C*kh*kw] in (c, kh, kw) order."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        shape=(n, ho, wo, c, kh, kw),
+        strides=(s0, s1 * stride, s2 * stride, s3, s1, s2),
         writeable=False,
     )
-    cols = view.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
+    return view.reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
-def _col2im(gcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
-    n, c, h, w = x_shape
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
-    g6 = gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+def _col2im(gtaps: np.ndarray, x_shape, ho: int, wo: int, stride: int, pad: int):
+    """Per-tap input gradients [kh, kw, N*Ho*Wo, C] -> [N, H, W, C]."""
+    n, h, w, c = x_shape
+    kh, kw = gtaps.shape[:2]
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=gtaps.dtype)
+    taps = gtaps.reshape(kh, kw, n, ho, wo, c)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g6[:, :, i, j]
+            gx[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[i, j]
     if pad:
-        gx = gx[:, :, pad:-pad, pad:-pad]
+        gx = gx[:, pad:-pad, pad:-pad]
     return gx
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution, NCHW layout, via im2col."""
+    """2-D convolution via im2col, channels last: [N, H, W, C] * [O, C, kh, kw] -> [N, Ho, Wo, O]."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
+    if x.shape[3] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
-    n = x.shape[0]
     o, _, kh, kw = w.shape
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wmat = w.data.reshape(o, -1)
     out = cols @ wmat.T + b.data
-    out_data = out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
 
     def backward_fn(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, o)
+        gmat = g.reshape(-1, o)
         if _needs_grad(w):
             w._accumulate((gmat.T @ cols).reshape(w.shape))
         if _needs_grad(b):
             b._accumulate(_sum64(gmat, axis=0))
         if _needs_grad(x):
-            gcols = gmat @ wmat
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding))
+            # one GEMM per tap: [rows, O] @ [O, C] for each (i, j)
+            gtaps = np.matmul(gmat, np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)))
+            x._accumulate(_col2im(gtaps, x.shape, ho, wo, stride, padding))
 
-    return _make(np.ascontiguousarray(out_data), (x, w, b), backward_fn, "conv2d")
+    return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 
 
 # -- small helpers used by model code -------------------------------------------

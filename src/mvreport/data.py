@@ -163,4 +163,4 @@ def stack_views(batch: Batch) -> np.ndarray:
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise DataError(f"inconsistent view sizes in batch: {sorted(shapes)}")
-    return np.stack(arrays).astype(np.float32)[:, None, :, :]
+    return np.stack(arrays).astype(np.float32, copy=False)[:, None, :, :]

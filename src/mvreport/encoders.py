@@ -93,17 +93,17 @@ def init_stage1_params(config: RunConfig, vocab_size: int, rng: Rng) -> dict:
 
 def encode_views(views: np.ndarray, params: dict, config: RunConfig) -> VisualFeatures:
     """[M, 1, H, W] images -> per-view feature maps [M, p, d1]."""
-    if views.ndim != 4:
+    if views.ndim != 4 or views.shape[1] != 1:
         raise DataError(f"encode_views expects [M, 1, H, W], got shape {views.shape}")
-    if views.shape[2] != views.shape[3] or views.shape[2] != config.image_size:
+    m, _, h, w = views.shape
+    if h != w or h != config.image_size:
         raise DataError(f"view size {views.shape[2:]} does not match configured image_size {config.image_size}")
-    x = ad.constant(views)
+    x = ad.constant(views.reshape(m, h, w, 1))  # channels last; free because C == 1
     for i in range(3):
         x = ad.conv2d(x, params[f"stage1.vis.conv{i}.w"], params[f"stage1.vis.conv{i}.b"], stride=2, padding=1)
         x = ad.relu(x)
-    m, d1 = x.shape[0], x.shape[1]
-    x = ad.reshape(x, (m, d1, x.shape[2] * x.shape[3]))  # [M, d1, p]
-    return VisualFeatures(per_view=ad.transpose(x, (0, 2, 1)))
+    _, ho, wo, d1 = x.shape
+    return VisualFeatures(per_view=ad.reshape(x, (m, ho * wo, d1)))
 
 
 def _encoder_layer(x: Tensor, params: dict, prefix: str, key_mask: np.ndarray) -> Tensor:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalAbort
+
 
 class AdamW:
     """Groups are (name -> Tensor, learning_rate) pairs sharing one step count."""
@@ -23,6 +25,10 @@ class AdamW:
                 }
 
     def step(self) -> None:
+        bad = [name for params, _ in self.groups for name, p in params.items()
+               if p.grad is not None and not np.isfinite(p.grad).all()]
+        if bad:  # checked before any update, so parameters and moments stay as they were
+            raise NumericalAbort(f"non-finite gradient: {', '.join(bad)}", dump={"non_finite_grads": bad})
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t

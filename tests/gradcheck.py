@@ -55,6 +55,8 @@ def numeric_grad(loss_fn, tensor, h=1e-4):
     Richardson-extrapolated from steps h and h/8 so that on a smooth path
     they agree with each other to O(h^2).
     """
+    if not tensor.data.flags.c_contiguous:
+        raise ValueError("numeric_grad perturbs the data through a flat view; pass C-contiguous data")
     f0 = float(loss_fn().data)
     flat = tensor.data.reshape(-1)
     central, right, left = (np.zeros_like(flat) for _ in range(3))

@@ -185,10 +185,10 @@ def _op_cases(rng):
         return lambda: ad.cross_entropy_rows(target, ad.softmax_rows(z)), [z]
 
     def case_conv2d():
-        x = _p(rng, (2, 1, 6, 6))
+        x = ad.parameter(np.ascontiguousarray(_p(rng, (2, 1, 6, 6)).data.transpose(0, 2, 3, 1)), dtype=F64)  # NHWC
         w = _p(rng, (2, 1, 3, 3), std=0.5)
         b = _p(rng, (2,))
-        dot = _dot(rng, (2, 2, 3, 3))
+        dot = _dot(rng, (2, 3, 3, 2))
         return lambda: dot(ad.conv2d(x, w, b, stride=2, padding=1)), [x, w, b]
 
     def case_affine():

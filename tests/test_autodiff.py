@@ -14,6 +14,7 @@ from mvreport.errors import (
 )
 from mvreport.rng import Rng
 
+import conv_reference
 from gradcheck import check_grads
 
 F64 = np.float64
@@ -240,7 +241,7 @@ def test_fanout_gradient_accumulation():
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(DimensionError):
-        ad.conv2d(ad.constant(np.zeros((1, 2, 4, 4))),
+        ad.conv2d(ad.constant(np.zeros((1, 4, 4, 2))),
                   ad.constant(np.zeros((3, 1, 3, 3))), ad.constant(np.zeros(3)))
 
 
@@ -249,7 +250,8 @@ def test_conv2d_matches_naive_loop():
     x = np.asarray(rng.normal((2, 2, 5, 5)), dtype=np.float32)
     w = np.asarray(rng.normal((3, 2, 3, 3)), dtype=np.float32)
     b = np.asarray(rng.normal((3,)), dtype=np.float32)
-    out = ad.conv2d(ad.constant(x), ad.constant(w), ad.constant(b), stride=2, padding=1).data
+    out = ad.conv2d(ad.constant(x.transpose(0, 2, 3, 1)), ad.constant(w), ad.constant(b),
+                    stride=2, padding=1).data.transpose(0, 3, 1, 2)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     expected = np.zeros_like(out)
     for n in range(2):
@@ -259,6 +261,36 @@ def test_conv2d_matches_naive_loop():
                     patch = xp[n, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
                     expected[n, o, i, j] = (patch * w[o]).sum() + b[o]
     np.testing.assert_allclose(out, expected, atol=1e-4)
+
+
+@pytest.mark.parametrize("x_is_param", [False, True])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("stride,padding", [(2, 1), (1, 0)])
+def test_conv2d_matches_nchw_reference(stride, padding, channels, x_is_param):
+    """Channels-last conv2d equals the NCHW im2col reference: output and
+    the gradients of x, w and b, in float64."""
+    rng = Rng(13)
+    x = np.asarray(rng.normal((2, channels, 7, 6)), dtype=F64)
+    w = np.asarray(rng.normal((4, channels, 3, 3)), dtype=F64)
+    b = np.asarray(rng.normal((4,)), dtype=F64)
+    make = ad.parameter if x_is_param else ad.constant
+    results = []
+    for conv, layout in ((ad.conv2d, (0, 2, 3, 1)), (conv_reference.conv2d, (0, 1, 2, 3))):
+        xt, wt, bt = make(x.transpose(layout), dtype=F64), ad.parameter(w, dtype=F64), ad.parameter(b, dtype=F64)
+        out = conv(xt, wt, bt, stride=stride, padding=padding)
+        nchw = out.data.transpose(0, 3, 1, 2) if conv is ad.conv2d else out.data
+        upstream = np.asarray(Rng(14).normal(nchw.shape), dtype=F64)
+        ad.tsum(out * ad.constant(upstream.transpose(layout), dtype=F64)).backward()
+        gx = None if xt.grad is None else (xt.grad.transpose(0, 3, 1, 2) if conv is ad.conv2d else xt.grad)
+        results.append((nchw, gx, wt.grad, bt.grad))
+    (out, gx, gw, gb), (ref_out, ref_gx, ref_gw, ref_gb) = results
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(gb, ref_gb, rtol=0, atol=1e-10)
+    if x_is_param:
+        np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-10)
+    else:
+        assert gx is None and ref_gx is None
 
 
 def test_gather_rows_and_scatter_add_backward():
@@ -398,7 +430,7 @@ def test_grad_cross_entropy():
 
 def test_grad_conv2d():
     rng = Rng(112)
-    x = p64(rng, (2, 2, 5, 5))
+    x = ad.parameter(np.ascontiguousarray(p64(rng, (2, 2, 5, 5)).data.transpose(0, 2, 3, 1)), dtype=F64)
     w = p64(rng, (3, 2, 3, 3), scale=0.5)
     b = p64(rng, (3,))
     check_grads(lambda: scalarize(ad.conv2d(x, w, b, stride=2, padding=1), Rng(23)), [x, w, b],

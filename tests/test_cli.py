@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mvreport import cli
 from mvreport.errors import NumericalAbort, UsageError
+from mvreport.optim import AdamW
 
 
 def _write_config(path, **over):
@@ -118,6 +120,24 @@ def test_numerical_abort_writes_dump(tmp_path, capsys, monkeypatch):
         assert dump["step"] == 7
         assert "numerical abort" in capsys.readouterr().err
     assert not (tmp_path / "numerical_abort_dump.json").exists()
+
+
+def test_non_finite_gradient_with_finite_loss_exits_3(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(tmp_path / "corpus"), out_dir=str(tmp_path / "run"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    real_step = AdamW.step
+
+    def poisoned_step(self):
+        params, _ = self.groups[0]
+        params["stage1.vis.conv0.w"].grad[0, 0, 0, 0] = np.nan
+        real_step(self)
+
+    monkeypatch.setattr(AdamW, "step", poisoned_step)
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 3
+    dump = json.loads((tmp_path / "run" / "numerical_abort_dump.json").read_text())
+    assert dump == {"non_finite_grads": ["stage1.vis.conv0.w"]}
+    assert "non-finite gradient" in capsys.readouterr().err
 
 
 def test_synth_prints_stats_table(tmp_path, capsys):

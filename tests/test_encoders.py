@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvreport import autodiff as ad
+from mvreport.data import Batch, stack_views
 from mvreport.encoders import (
     conv_channels,
     encode_text,
@@ -15,7 +16,8 @@ from mvreport.errors import DataError
 from mvreport.rng import Rng
 from mvreport.text import Vocabulary
 
-from conftest import tiny_config
+from conftest import make_study, tiny_config
+from conv_reference import reference_encode_views
 from gradcheck import check_grads, to_f64_params
 
 F64 = np.float64
@@ -55,6 +57,8 @@ def test_encode_views_input_validation(setup):
         encode_views(np.zeros((2, 8, 8), dtype=np.float32), params, config)
     with pytest.raises(DataError):
         encode_views(np.zeros((2, 1, 16, 16), dtype=np.float32), params, config)
+    with pytest.raises(DataError):
+        encode_views(np.zeros((2, 3, 8, 8), dtype=np.float32), params, config)
 
 
 def test_encode_views_gradient(setup):
@@ -68,6 +72,31 @@ def test_encode_views_gradient(setup):
         return ad.tsum(encode_views(views, params64, config).per_view * w)
 
     check_grads(loss_fn, conv_params, rtol=1e-3, atol=1e-6)
+
+
+@pytest.mark.parametrize("views_per_study", [[1], [2], [3], [1, 3, 2]])
+def test_encode_views_matches_nchw_reference(setup, views_per_study):
+    """Channels-last encode_views equals the NCHW reference encoder on
+    studies of 1-3 views: per_view features and every conv gradient, in
+    float64."""
+    config, _, params = setup
+    rng = Rng(5)
+    studies = [make_study(f"s{i}", m, rng, image_size=config.image_size) for i, m in enumerate(views_per_study)]
+    views = stack_views(Batch(studies=studies))
+    conv_names = [f"stage1.vis.conv{i}.{n}" for i in range(3) for n in ("w", "b")]
+    results = []
+    for encode in (lambda p: encode_views(views, p, config).per_view,
+                   lambda p: reference_encode_views(views, p)):
+        params64 = to_f64_params({name: params[name] for name in conv_names})
+        per_view = encode(params64)
+        upstream = ad.constant(Rng(6).normal(per_view.shape), dtype=F64)
+        ad.tsum(per_view * upstream).backward()
+        results.append((per_view.data, [params64[name].grad for name in conv_names]))
+    (feats, grads), (ref_feats, ref_grads) = results
+    assert feats.shape == (len(views), config.p, config.d1)
+    np.testing.assert_allclose(feats, ref_feats, rtol=0, atol=1e-10)
+    for name, g, ref_g in zip(conv_names, grads, ref_grads):
+        np.testing.assert_allclose(g, ref_g, rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_encode_text_empty_tokens(setup):

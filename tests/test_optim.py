@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from mvreport import autodiff as ad
+from mvreport.errors import NumericalAbort
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
 
@@ -98,3 +100,26 @@ def test_adamw_state_roundtrip_resumes_identically():
     for k in params_a:
         np.testing.assert_array_equal(params_b[k].data, params_c[k].data)
         np.testing.assert_array_equal(params_a[k].data, params_b[k].data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adamw_non_finite_gradient_aborts_before_any_update(bad):
+    params = _quadratic_params(seed=4)
+    opt = AdamW([({"w": params["w"]}, 1e-2), ({"b": params["b"]}, 1e-3)], weight_decay=0.1)
+    for _ in range(2):
+        opt.zero_grad()
+        _loss(params).backward()
+        opt.step()
+    opt.zero_grad()
+    _loss(params).backward()
+    params["b"].grad[0] = bad
+    before = {k: v.data.copy() for k, v in params.items()}
+    state = {k: v.copy() for k, v in opt.state_arrays().items()}
+    with pytest.raises(NumericalAbort) as excinfo:
+        opt.step()
+    assert excinfo.value.dump == {"non_finite_grads": ["b"]}
+    assert opt.step_count == 2
+    for k, v in params.items():
+        np.testing.assert_array_equal(v.data, before[k])
+    for k, v in opt.state_arrays().items():
+        np.testing.assert_array_equal(v, state[k])
