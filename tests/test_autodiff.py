@@ -275,14 +275,14 @@ def test_conv2d_matches_nchw_reference(stride, padding, channels, x_is_param):
     b = np.asarray(rng.normal((4,)), dtype=F64)
     make = ad.parameter if x_is_param else ad.constant
     results = []
-    for conv, layout in ((ad.conv2d, (0, 2, 3, 1)), (conv_reference.conv2d, (0, 1, 2, 3))):
+    for conv, layout, to_nchw in ((ad.conv2d, (0, 2, 3, 1), (0, 3, 1, 2)),
+                                  (conv_reference.conv2d, (0, 1, 2, 3), (0, 1, 2, 3))):
         xt, wt, bt = make(x.transpose(layout), dtype=F64), ad.parameter(w, dtype=F64), ad.parameter(b, dtype=F64)
         out = conv(xt, wt, bt, stride=stride, padding=padding)
-        nchw = out.data.transpose(0, 3, 1, 2) if conv is ad.conv2d else out.data
-        upstream = np.asarray(Rng(14).normal(nchw.shape), dtype=F64)
+        upstream = np.asarray(Rng(14).normal(out.data.transpose(to_nchw).shape), dtype=F64)
         ad.tsum(out * ad.constant(upstream.transpose(layout), dtype=F64)).backward()
-        gx = None if xt.grad is None else (xt.grad.transpose(0, 3, 1, 2) if conv is ad.conv2d else xt.grad)
-        results.append((nchw, gx, wt.grad, bt.grad))
+        gx = None if xt.grad is None else xt.grad.transpose(to_nchw)
+        results.append((out.data.transpose(to_nchw), gx, wt.grad, bt.grad))
     (out, gx, gw, gb), (ref_out, ref_gx, ref_gw, ref_gb) = results
     np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-10)
     np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-10)
