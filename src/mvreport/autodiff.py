@@ -27,6 +27,8 @@ _logger = logging.getLogger(__name__)
 DEFAULT_DTYPE = np.float32
 LOG_CLAMP = 1e-12
 L2_EPS = 1e-12
+# Additive score for a masked attention or logit position; exp() of it underflows to exactly 0.
+NEG_INF = -1e9
 
 # When True, cross_entropy_rows validates that its inputs are row-stochastic.
 DEBUG_VALIDATE = False
@@ -331,6 +333,17 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(out_data, (a,), backward_fn, "transpose")
 
 
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """Repeat ``a`` along new leading or size-1 axes (numpy broadcasting);
+    the backward sums the gradient back to ``a``'s shape."""
+    out_data = np.broadcast_to(a.data, shape)
+
+    def backward_fn(g):
+        a._accumulate(_unbroadcast(g, a.shape))
+
+    return _make(out_data, (a,), backward_fn, "broadcast_to")
+
+
 def swap_last2(a: Tensor) -> Tensor:
     axes = list(range(a.data.ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]
@@ -524,11 +537,13 @@ def l2_normalize(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward_fn, "l2_normalize")
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ k^T / sqrt(d) + mask) @ v over the last two axes.
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ k^T / sqrt(d)) @ v over the last two axes.
 
-    ``mask`` is an additive float array broadcastable to the score shape
-    (0 for allowed, large negative for disallowed key positions).
+    ``key_mask`` is a boolean array broadcastable to the score shape
+    [..., Lq, Lk]: True where a query may attend to a key. Masked scores
+    get ``NEG_INF``, so their softmax weight is exactly 0; every query
+    needs at least one attendable key.
     """
     if k.shape[-2] == 0:
         raise EmptyKeyError("scaled_dot_attention called with zero keys")
@@ -538,8 +553,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | Non
     if v.shape[-2] != k.shape[-2]:
         raise DimensionError(f"keys/values length mismatch: k {k.shape}, v {v.shape}")
     scores = matmul(q, swap_last2(k)) * (1.0 / math.sqrt(d))
-    if mask is not None:
-        scores = scores + constant(np.asarray(mask), dtype=q.dtype)
+    if key_mask is not None:
+        if np.asarray(key_mask).dtype != bool:
+            raise ParameterError(f"key_mask must be boolean, got dtype {np.asarray(key_mask).dtype}")
+        scores = scores + constant(np.where(key_mask, 0.0, NEG_INF), dtype=q.dtype)
     weights = softmax_rows(scores)
     return matmul(weights, v)
 
@@ -623,7 +640,3 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis."""
     return matmul(x, w) + b
 
-
-def stack0(tensors) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    return concat([reshape(t, (1,) + t.shape) for t in tensors], axis=0)

@@ -55,24 +55,29 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> None:
-        positives = {
-            "image_size": self.image_size, "d1": self.d1, "d2": self.d2, "d": self.d,
-            "n_b": self.n_b, "memory_rows": self.memory_rows, "bridge_blocks": self.bridge_blocks,
-            "text_layers": self.text_layers, "dec_layers": self.dec_layers, "k_t": self.k_t,
-            "tau1": self.tau1, "tau2": self.tau2, "batch_size": self.batch_size,
-            "lr_stage1": self.lr_stage1, "lr_stage2_pretrained": self.lr_stage2_pretrained,
-            "lr_stage2_fresh": self.lr_stage2_fresh, "epochs": self.epochs,
-            "max_tokens": self.max_tokens, "n_studies": self.n_studies,
-        }
-        for name, value in positives.items():
-            if value <= 0:
-                raise UsageError(f"config field '{name}' must be positive, got {value}")
+        for f in dataclasses.fields(self):
+            # each value has its default's type; an int may stand for a float, a bool for no number
+            value, expected = getattr(self, f.name), type(f.default)
+            if type(value) is not expected and not (expected is float and type(value) is int):
+                raise UsageError(f"config field '{f.name}' must be of type {expected.__name__}, got {value!r}")
+        positives = (
+            "image_size", "d1", "d2", "d", "n_b", "memory_rows", "bridge_blocks", "text_layers", "dec_layers",
+            "ffn_mult", "k_t", "tau1", "tau2", "batch_size", "lr_stage1", "lr_stage2_pretrained",
+            "lr_stage2_fresh", "epochs", "max_tokens", "n_studies",
+        )
+        for name in positives:
+            if getattr(self, name) <= 0:
+                raise UsageError(f"config field '{name}' must be positive, got {getattr(self, name)}")
         if self.d1 != self.d2:
             raise UsageError(f"d1 ({self.d1}) must equal d2 ({self.d2}) so visual and text tokens share the bridge space")
         if self.image_size % 8 != 0:
             raise UsageError(f"image_size must be a multiple of 8 (three stride-2 blocks), got {self.image_size}")
-        if not 0.0 <= self.indication_rate <= 1.0:
-            raise UsageError(f"indication_rate must be in [0, 1], got {self.indication_rate}")
+        for name in ("indication_rate", "split_train", "split_val", "split_test"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        splits = self.split_train + self.split_val + self.split_test
+        if splits > 1.0 + 1e-9:
+            raise UsageError(f"split_train + split_val + split_test must not exceed 1, got {splits:g}")
         if not 1 <= self.view_count_min <= self.view_count_max:
             raise UsageError(f"view counts must satisfy 1 <= view_count_min <= view_count_max, "
                              f"got {self.view_count_min} and {self.view_count_max}")

@@ -111,23 +111,25 @@ def _study_from_record(record: dict, base: Path, where: str, report_blacklist) -
     for key in ("study_id", "views", "report"):
         if key not in record:
             raise DataError(f"{where}: missing required field '{key}'")
+    if not isinstance(record["report"], str):
+        raise DataError(f"{where}: field 'report' must be a string, got {record['report']!r}")
     report = record["report"].strip()
     normalized = " ".join(report.lower().split())
     if not normalized or normalized.rstrip(".") in {b.rstrip(".") for b in report_blacklist}:
         log.warning("%s: skipping study %s with empty or insignificant report", where, record["study_id"])
         return None
     view_paths = record["views"]
-    if not isinstance(view_paths, list) or not view_paths:
-        raise DataError(f"{where}: field 'views' must be a non-empty list")
+    if not isinstance(view_paths, list) or not view_paths or not all(isinstance(v, str) for v in view_paths):
+        raise DataError(f"{where}: field 'views' must be a non-empty list of paths, got {view_paths!r}")
     views = []
     for rel in view_paths:
         full = base / rel
         if not full.exists():
             raise DataError(f"{where}: view file not found: {full}")
         views.append(read_tensor(full))
-    anchor_index = int(record.get("anchor_index", 0))
-    if not 0 <= anchor_index < len(views):
-        raise DataError(f"{where}: field 'anchor_index' = {anchor_index} out of range for {len(views)} views")
+    anchor_index = record.get("anchor_index", 0)
+    if type(anchor_index) is not int or not 0 <= anchor_index < len(views):
+        raise DataError(f"{where}: field 'anchor_index' must be a view index below {len(views)}, got {anchor_index!r}")
     serialization = record.get("factual_serialization")
     if not serialization:
         serialization = fallback_serialize(report)

@@ -14,8 +14,6 @@ from .errors import DataError
 from .rng import Rng
 from .text import BOS_ID, EOS_ID, PAD_ID
 
-NEG_INF = -1e9
-
 
 def conv_channels(config: RunConfig) -> list:
     """Channel widths of the three conv blocks, scaled from d1."""
@@ -44,50 +42,58 @@ class ProjectedPair:
     txt_mask: np.ndarray
 
 
-def init_stage1_params(config: RunConfig, vocab_size: int, rng: Rng) -> dict:
-    """Named stage-1 parameter tensors (conv encoder, text encoder, heads)."""
+class ParamInit:
+    """The parameter makers both stages initialise with. ``normal`` draws
+    from ``rng`` in call order; ``ones`` and ``zeros`` draw nothing."""
 
-    def normal(shape, std):
-        return ad.parameter(rng.normal(shape, std=std))
+    def __init__(self, rng: Rng):
+        self.rng = rng
 
-    def ones(shape):
+    def normal(self, shape, std):
+        return ad.parameter(self.rng.normal(shape, std=std))
+
+    def ones(self, shape):
         return ad.parameter(np.ones(shape, dtype=np.float32))
 
-    def zeros(shape):
+    def zeros(self, shape):
         return ad.parameter(np.zeros(shape, dtype=np.float32))
 
+    def layer_norm(self, params: dict, prefix: str, d: int) -> None:
+        params[f"{prefix}.g"] = self.ones((d,))
+        params[f"{prefix}.b"] = self.zeros((d,))
+
+    def mlp(self, params: dict, prefix: str, d_in: int, hidden: int, d_out: int) -> None:
+        """The weights of ``_mlp`` under ``prefix``, fan-in scaled."""
+        params[f"{prefix}.w1"] = self.normal((d_in, hidden), std=1.0 / np.sqrt(d_in))
+        params[f"{prefix}.b1"] = self.zeros((hidden,))
+        params[f"{prefix}.w2"] = self.normal((hidden, d_out), std=1.0 / np.sqrt(hidden))
+        params[f"{prefix}.b2"] = self.zeros((d_out,))
+
+
+def init_stage1_params(config: RunConfig, vocab_size: int, rng: Rng) -> dict:
+    """Named stage-1 parameter tensors (conv encoder, text encoder, heads)."""
+    init = ParamInit(rng)
     d1, d2, d = config.d1, config.d2, config.d
     params = {}
     channels = conv_channels(config)
     for i in range(3):
         cin, cout = channels[i], channels[i + 1]
-        params[f"stage1.vis.conv{i}.w"] = normal((cout, cin, 3, 3), std=np.sqrt(2.0 / (cin * 9)))
-        params[f"stage1.vis.conv{i}.b"] = zeros((cout,))
+        params[f"stage1.vis.conv{i}.w"] = init.normal((cout, cin, 3, 3), std=np.sqrt(2.0 / (cin * 9)))
+        params[f"stage1.vis.conv{i}.b"] = init.zeros((cout,))
 
-    params["stage1.txt.embed"] = normal((vocab_size, d2), std=0.02)
-    params["stage1.txt.pos"] = normal((config.k_t, d2), std=0.02)
+    params["stage1.txt.embed"] = init.normal((vocab_size, d2), std=0.02)
+    params["stage1.txt.pos"] = init.normal((config.k_t, d2), std=0.02)
     for layer in range(config.text_layers):
         prefix = f"stage1.txt.l{layer}"
         for name in ("wq", "wk", "wv", "wo"):
-            params[f"{prefix}.{name}"] = normal((d2, d2), std=1.0 / np.sqrt(d2))
-        params[f"{prefix}.ln1.g"] = ones((d2,))
-        params[f"{prefix}.ln1.b"] = zeros((d2,))
-        h = config.ffn_mult * d2
-        params[f"{prefix}.ffn.w1"] = normal((d2, h), std=1.0 / np.sqrt(d2))
-        params[f"{prefix}.ffn.b1"] = zeros((h,))
-        params[f"{prefix}.ffn.w2"] = normal((h, d2), std=1.0 / np.sqrt(h))
-        params[f"{prefix}.ffn.b2"] = zeros((d2,))
-        params[f"{prefix}.ln2.g"] = ones((d2,))
-        params[f"{prefix}.ln2.b"] = zeros((d2,))
+            params[f"{prefix}.{name}"] = init.normal((d2, d2), std=1.0 / np.sqrt(d2))
+        init.layer_norm(params, f"{prefix}.ln1", d2)
+        init.mlp(params, f"{prefix}.ffn", d2, config.ffn_mult * d2, d2)
+        init.layer_norm(params, f"{prefix}.ln2", d2)
 
     for side, din in (("vis", d1), ("txt", d2)):
-        params[f"stage1.proj.{side}.w1"] = normal((din, din), std=1.0 / np.sqrt(din))
-        params[f"stage1.proj.{side}.b1"] = zeros((din,))
-        params[f"stage1.proj.{side}.w2"] = normal((din, d), std=1.0 / np.sqrt(din))
-        params[f"stage1.proj.{side}.b2"] = zeros((d,))
-
-    params["stage1.fuse.ln.g"] = ones((d1,))
-    params["stage1.fuse.ln.b"] = zeros((d1,))
+        init.mlp(params, f"stage1.proj.{side}", din, din, d)
+    init.layer_norm(params, "stage1.fuse.ln", d1)
     return params
 
 
@@ -106,17 +112,20 @@ def encode_views(views: np.ndarray, params: dict, config: RunConfig) -> VisualFe
     return VisualFeatures(per_view=ad.reshape(x, (m, ho * wo, d1)))
 
 
+def _mlp(x: Tensor, params: dict, prefix: str) -> Tensor:
+    """Two affine layers with a ReLU between, over the last axis."""
+    hidden = ad.relu(ad.affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ad.affine(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+
+
 def _encoder_layer(x: Tensor, params: dict, prefix: str, key_mask: np.ndarray) -> Tensor:
     q = ad.matmul(x, params[f"{prefix}.wq"])
     k = ad.matmul(x, params[f"{prefix}.wk"])
     v = ad.matmul(x, params[f"{prefix}.wv"])
-    add_mask = np.where(key_mask[:, None, :], 0.0, NEG_INF).astype(np.float32)
-    attended = ad.scaled_dot_attention(q, k, v, mask=add_mask)
+    attended = ad.scaled_dot_attention(q, k, v, key_mask=key_mask[:, None, :])
     x = ad.layer_norm(x + ad.matmul(attended, params[f"{prefix}.wo"]),
                       params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    hidden = ad.relu(ad.affine(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
-    ffn = ad.affine(hidden, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
-    return ad.layer_norm(x + ffn, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    return ad.layer_norm(x + _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
 def encode_text(token_lists, params: dict, vocab, config: RunConfig) -> TextFeatures:
@@ -152,16 +161,11 @@ def masked_mean(tokens: Tensor, mask: np.ndarray) -> Tensor:
     return ad.tsum(weighted, axis=-2)
 
 
-def _project_tokens(x: Tensor, params: dict, side: str) -> Tensor:
-    hidden = ad.relu(ad.affine(x, params[f"stage1.proj.{side}.w1"], params[f"stage1.proj.{side}.b1"]))
-    return ad.affine(hidden, params[f"stage1.proj.{side}.w2"], params[f"stage1.proj.{side}.b2"])
-
-
 def project_and_pool(fused_vis: Tensor, text: TextFeatures, params: dict) -> ProjectedPair:
     """Per-token projection into the shared space, then masked pooling and
     l2 normalization of the global vectors."""
-    vis = _project_tokens(fused_vis, params, "vis")
-    txt = _project_tokens(text.tokens, params, "txt")
+    vis = _mlp(fused_vis, params, "stage1.proj.vis")
+    txt = _mlp(text.tokens, params, "stage1.proj.txt")
     vis_mask = np.ones(vis.shape[:2], dtype=bool)
     vis_global = ad.l2_normalize(masked_mean(vis, vis_mask))
     txt_global = ad.l2_normalize(masked_mean(txt, text.pad_mask))

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
 from .data import Batch, stack_views
-from .encoders import NEG_INF, TextFeatures, encode_text, encode_views
+from .encoders import ParamInit, TextFeatures, _mlp, encode_text, encode_views
 from .errors import DimensionError, NumericalAbort
 from .mvcl import multi_view_fuse
 from .rng import Rng
@@ -31,44 +31,27 @@ def init_stage2_params(config: RunConfig, vocab_size: int, rng: Rng) -> dict:
     Bridge tokens start at zero so the absent-indication path begins as a
     near-identity (attention over zero values adds nothing).
     """
-
-    def normal(shape, std):
-        return ad.parameter(rng.normal(shape, std=std))
-
-    def ones(shape):
-        return ad.parameter(np.ones(shape, dtype=np.float32))
-
-    def zeros(shape):
-        return ad.parameter(np.zeros(shape, dtype=np.float32))
-
+    init = ParamInit(rng)
     dm = config.d1
     params = {}
-    params["stage2.bridge.tokens"] = zeros((config.n_b, dm))
+    params["stage2.bridge.tokens"] = init.zeros((config.n_b, dm))
     for block in range(config.bridge_blocks):
-        params[f"stage2.bridge.b{block}.ln.g"] = ones((dm,))
-        params[f"stage2.bridge.b{block}.ln.b"] = zeros((dm,))
+        init.layer_norm(params, f"stage2.bridge.b{block}.ln", dm)
 
-    params["stage2.dec.embed"] = normal((vocab_size, dm), std=0.02)
-    params["stage2.dec.pos"] = normal((config.max_tokens + 2, dm), std=0.02)
-    params["stage2.dec.memory"] = normal((config.memory_rows, dm), std=0.02)
+    params["stage2.dec.embed"] = init.normal((vocab_size, dm), std=0.02)
+    params["stage2.dec.pos"] = init.normal((config.max_tokens + 2, dm), std=0.02)
+    params["stage2.dec.memory"] = init.normal((config.memory_rows, dm), std=0.02)
     for layer in range(config.dec_layers):
         prefix = f"stage2.dec.l{layer}"
         for block in ("self", "cross"):
             for name in ("wq", "wk", "wv", "wo"):
-                params[f"{prefix}.{block}.{name}"] = normal((dm, dm), std=1.0 / np.sqrt(dm))
-        params[f"{prefix}.ln1.g"] = ones((dm,))
-        params[f"{prefix}.ln1.b"] = zeros((dm,))
-        params[f"{prefix}.ln2.g"] = ones((dm,))
-        params[f"{prefix}.ln2.b"] = zeros((dm,))
-        h = config.ffn_mult * dm
-        params[f"{prefix}.ffn.w1"] = normal((dm, h), std=1.0 / np.sqrt(dm))
-        params[f"{prefix}.ffn.b1"] = zeros((h,))
-        params[f"{prefix}.ffn.w2"] = normal((h, dm), std=1.0 / np.sqrt(h))
-        params[f"{prefix}.ffn.b2"] = zeros((dm,))
-        params[f"{prefix}.ln3.g"] = ones((dm,))
-        params[f"{prefix}.ln3.b"] = zeros((dm,))
-    params["stage2.dec.out.w"] = normal((dm, vocab_size), std=1.0 / np.sqrt(dm))
-    params["stage2.dec.out.b"] = zeros((vocab_size,))
+                params[f"{prefix}.{block}.{name}"] = init.normal((dm, dm), std=1.0 / np.sqrt(dm))
+        init.layer_norm(params, f"{prefix}.ln1", dm)
+        init.layer_norm(params, f"{prefix}.ln2", dm)
+        init.mlp(params, f"{prefix}.ffn", dm, config.ffn_mult * dm, dm)
+        init.layer_norm(params, f"{prefix}.ln3", dm)
+    params["stage2.dec.out.w"] = init.normal((dm, vocab_size), std=1.0 / np.sqrt(dm))
+    params["stage2.dec.out.b"] = init.zeros((vocab_size,))
     return params
 
 
@@ -111,14 +94,11 @@ def bridge_forward(fused_vis: Tensor, indications: TextFeatures | None, params: 
     kv, key_mask = bridge, None
     if indications is not None:
         b = fused_vis.shape[0]
-        # the bridge tokens broadcast to every study; the add sums their gradient back
-        bridge_rows = ad.constant(np.zeros((b, 1, 1)), dtype=bridge.dtype) + ad.reshape(bridge, (1,) + bridge.shape)
-        kv = ad.concat([bridge_rows, indications.tokens], axis=1)
-        present = np.concatenate([np.ones((b, bridge.shape[0]), dtype=bool), indications.pad_mask], axis=1)
-        key_mask = np.where(present, 0.0, NEG_INF).astype(np.float32)[:, None, :]
+        kv = ad.concat([ad.broadcast_to(bridge, (b,) + bridge.shape), indications.tokens], axis=1)
+        key_mask = np.concatenate([np.ones((b, bridge.shape[0]), dtype=bool), indications.pad_mask], axis=1)[:, None, :]
     x = fused_vis
     for block in range(config.bridge_blocks):
-        attended = ad.scaled_dot_attention(x, kv, kv, mask=key_mask)  # [B, p, dm]
+        attended = ad.scaled_dot_attention(x, kv, kv, key_mask=key_mask)  # [B, p, dm]
         x = ad.layer_norm(x + attended, params[f"stage2.bridge.b{block}.ln.g"],
                           params[f"stage2.bridge.b{block}.ln.b"])
     return x
@@ -139,23 +119,23 @@ class DecoderCache:
     ``cross`` holds each layer's cross-attention keys/values over
     [knowledge ; memory], projected on the first call. ``self_kv`` holds
     each layer's self-attention keys/values of the positions decoded so
-    far, and ``pad_keys`` their additive PAD key mask [rows, positions].
+    far, and ``real_keys`` [rows, positions] which of them are not PAD.
     """
 
     cross: list = field(default_factory=list)
     self_kv: list = field(default_factory=list)
-    pad_keys: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=np.float32))
+    real_keys: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=bool))
 
     @property
     def length(self) -> int:
-        return self.pad_keys.shape[1]
+        return self.real_keys.shape[1]
 
     def reorder(self, rows) -> None:
         """Keep the given rows of the cache, in order (a row may repeat):
         cross-attention and self-attention keys/values and the PAD mask
         alike. The result records no graph."""
         rows = np.asarray(rows, dtype=np.int64)
-        if np.array_equal(rows, np.arange(len(self.pad_keys))):
+        if np.array_equal(rows, np.arange(len(self.real_keys))):
             return
 
         def keep(pairs):
@@ -164,7 +144,7 @@ class DecoderCache:
 
         self.cross = keep(self.cross)
         self.self_kv = keep(self.self_kv)
-        self.pad_keys = self.pad_keys[rows]
+        self.real_keys = self.real_keys[rows]
 
 
 def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, config: RunConfig,
@@ -188,18 +168,15 @@ def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, con
     pos = ad.narrow(params["stage2.dec.pos"], 0, offset, t)
     x = x + ad.reshape(pos, (1, t, x.shape[-1]))
 
-    pad_keys = np.where(ids == PAD_ID, NEG_INF, 0.0).astype(np.float32)
-    if offset:
-        pad_keys = np.concatenate([cache.pad_keys, pad_keys], axis=1)
-    causal = np.triu(np.full((t, offset + t), NEG_INF, dtype=np.float32), k=offset + 1)
-    self_mask = causal[None, :, :] + pad_keys[:, None, :]
+    real_keys = np.concatenate([cache.real_keys, ids != PAD_ID], axis=1) if offset else ids != PAD_ID
+    self_mask = np.tri(t, offset + t, k=offset, dtype=bool) & real_keys[:, None, :]  # causal, real keys
     # every query may at least attend to itself
     diag = np.arange(t)
-    self_mask[:, diag, offset + diag] = 0.0
+    self_mask[:, diag, offset + diag] = True
 
     if not cache.cross:
         memory = params["stage2.dec.memory"]
-        mem_rows = ad.stack0([memory] * knowledge.shape[0])  # [B, R, dm]
+        mem_rows = ad.broadcast_to(memory, (knowledge.shape[0],) + memory.shape)  # [B, R, dm]
         kv_source = ad.concat([knowledge, mem_rows], axis=1)
         cache.cross = [(ad.matmul(kv_source, params[f"stage2.dec.l{layer}.cross.wk"]),
                         ad.matmul(kv_source, params[f"stage2.dec.l{layer}.cross.wv"]))
@@ -215,7 +192,7 @@ def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, con
             k = ad.concat([past_k, k], axis=1)
             v = ad.concat([past_v, v], axis=1)
         self_kv.append((k, v))
-        attended = ad.scaled_dot_attention(q, k, v, mask=self_mask)
+        attended = ad.scaled_dot_attention(q, k, v, key_mask=self_mask)
         x = ad.layer_norm(x + ad.matmul(attended, params[f"{prefix}.self.wo"]),
                           params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
         cq = ad.matmul(x, params[f"{prefix}.cross.wq"])
@@ -223,11 +200,9 @@ def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, con
         cross = ad.scaled_dot_attention(cq, ck, cv)
         x = ad.layer_norm(x + ad.matmul(cross, params[f"{prefix}.cross.wo"]),
                           params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-        hidden = ad.relu(ad.affine(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
-        ffn = ad.affine(hidden, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
-        x = ad.layer_norm(x + ffn, params[f"{prefix}.ln3.g"], params[f"{prefix}.ln3.b"])
+        x = ad.layer_norm(x + _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln3.g"], params[f"{prefix}.ln3.b"])
     cache.self_kv = self_kv
-    cache.pad_keys = pad_keys
+    cache.real_keys = real_keys
     return ad.affine(x, params["stage2.dec.out.w"], params["stage2.dec.out.b"])
 
 

@@ -12,15 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
 from .data import Batch, stack_views
-from .encoders import (
-    NEG_INF,
-    ProjectedPair,
-    VisualFeatures,
-    encode_text,
-    encode_views,
-    per_view_globals,
-    project_and_pool,
-)
+from .encoders import ProjectedPair, VisualFeatures, encode_text, encode_views, per_view_globals, project_and_pool
 from .errors import NumericalAbort, ParameterError
 
 log = logging.getLogger(__name__)
@@ -117,8 +109,7 @@ def multi_view_fuse(vis: VisualFeatures, batch: Batch, params: dict) -> Tensor:
     b, p, d1 = anchor.shape
     queries = ad.reshape(anchor, (b, p, 1, d1))
     keys = ad.transpose(aux, (0, 2, 1, 3))  # [B_multi, p, A, d1]
-    key_mask = np.where(valid, 0.0, NEG_INF).astype(np.float32)[:, None, None, :]
-    attended = ad.scaled_dot_attention(queries, keys, keys, mask=key_mask)  # [B_multi, p, 1, d1]
+    attended = ad.scaled_dot_attention(queries, keys, keys, key_mask=valid[:, None, None, :])  # [B_multi, p, 1, d1]
     fused = ad.layer_norm(anchor + ad.reshape(attended, (b, p, d1)), gain, bias)
     # where(multi-view, fused, anchor) as a selection of rows, so that
     # single-view studies keep their anchor features exactly
@@ -173,8 +164,8 @@ def token_alignment_loss(pp: ProjectedPair, tau2: float) -> Tensor:
     t_norm = ad.l2_normalize(pp.txt)
     c_norm = ad.l2_normalize(contexts)
     logits = ad.matmul(t_norm, ad.swap_last2(c_norm))  # [B, L, L]
-    pad_keys = np.where(pp.txt_mask, 0.0, NEG_INF).astype(np.float32)[:, None, :]
-    logp = ad.log_softmax_rows(logits + ad.constant(pad_keys, dtype=logits.dtype), temperature=tau2)
+    pad_keys = ad.constant(np.where(pp.txt_mask[:, None, :], 0.0, ad.NEG_INF), dtype=logits.dtype)
+    logp = ad.log_softmax_rows(logits + pad_keys, temperature=tau2)
     diag = ad.take_last(logp, np.broadcast_to(np.arange(length), (b, length)))  # [B, L]
     nll = -ad.tsum(diag * ad.constant(weights, dtype=diag.dtype))
     return nll * (1.0 / float(total_tokens))

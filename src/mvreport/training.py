@@ -18,7 +18,7 @@ from .kgrg import finetune_step, generate_batch, init_stage2_params, lm_loss, sp
 # the one-study entry point stays importable from here: perfbench/tests checks that the
 # tracer patches this binding too
 from .kgrg import generate  # noqa: F401
-from .metrics import GreenCounts, bleu, ce_f1, green_score, meteor_simplified, rouge_l
+from .metrics import OBSERVATIONS, GreenCounts, bleu, ce_f1, green_score, meteor_simplified, rouge_l
 from .mvcl import pretrain_step, stage1_forward
 from .optim import AdamW
 from .rng import Rng, derive_seed
@@ -240,14 +240,22 @@ def evaluate_run(generations_path, out_dir) -> dict:
             cands.append(tokenize(rec["generated"]))
             refs.append(tokenize(rec["reference"]))
             if "labels_pred" in rec and "labels_gold" in rec:
+                for key in ("labels_pred", "labels_gold"):
+                    if not isinstance(rec[key], list) or len(rec[key]) != len(OBSERVATIONS):
+                        raise DataError(f"{path}:{lineno}: field '{key}' must be a list of {len(OBSERVATIONS)} labels")
                 has_labels = True
                 labels_pred.append(rec["labels_pred"])
                 labels_gold.append(rec["labels_gold"])
             if "green_counts" in rec:
                 has_green = True
                 gc = rec["green_counts"]
-                green_matched += int(gc["matched_findings"])
-                green_errors += np.asarray(gc["errors"], dtype=np.int64)
+                try:
+                    counts = GreenCounts(int(gc["matched_findings"]), [int(e) for e in gc["errors"]])
+                except (DataError, KeyError, TypeError, ValueError) as err:
+                    raise DataError(f"{path}:{lineno}: field 'green_counts' must hold a non-negative "
+                                    f"'matched_findings' and six non-negative 'errors', got {gc!r}") from err
+                green_matched += counts.matched_findings
+                green_errors += np.asarray(counts.errors, dtype=np.int64)
 
     report = {
         "bleu": bleu(cands, refs),

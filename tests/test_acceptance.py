@@ -130,10 +130,10 @@ def _op_cases(rng):
         dot = _dot(rng, (2, 4))
         return lambda: dot(ad.narrow(ad.concat([a, b], axis=1), 1, 1, 4)), [a, b]
 
-    def case_stack0():
-        a, b = two((2, 3))
-        dot = _dot(rng, (2, 2, 3))
-        return lambda: dot(ad.stack0([a, b])), [a, b]
+    def case_broadcast_to():
+        a = _p(rng, (2, 1))
+        dot = _dot(rng, (3, 2, 4))
+        return lambda: dot(ad.broadcast_to(a, (3, 2, 4))), [a]
 
     def case_gather_rows():
         a = _p(rng, (5, 3))
@@ -200,7 +200,7 @@ def _op_cases(rng):
         "add": case_add, "sub": case_sub, "mul": case_mul, "div": case_div,
         "relu": case_relu, "exp": case_exp, "log": case_log,
         "matmul": case_matmul, "reshape_swap": case_reshape_swap,
-        "concat_narrow": case_concat_narrow, "stack0": case_stack0,
+        "concat_narrow": case_concat_narrow, "broadcast_to": case_broadcast_to,
         "gather_rows": case_gather_rows, "take_last": case_take_last,
         "sum_mean": case_sum_mean, "softmax": case_softmax,
         "log_softmax": case_log_softmax, "layer_norm": case_layer_norm,

@@ -158,12 +158,13 @@ def test_attention_mask_blocks_keys():
     q = ad.constant(Rng(6).normal((2, 3)))
     k = ad.constant(Rng(7).normal((4, 3)))
     v = ad.constant(Rng(8).normal((4, 3)))
-    mask = np.array([0.0, -1e9, 0.0, -1e9], dtype=np.float32)
-    out = ad.scaled_dot_attention(q, k, v, mask=mask)
+    out = ad.scaled_dot_attention(q, k, v, key_mask=np.array([True, False, True, False]))
     k_sub = ad.constant(k.data[[0, 2]])
     v_sub = ad.constant(v.data[[0, 2]])
     ref = ad.scaled_dot_attention(q, k_sub, v_sub)
     np.testing.assert_allclose(out.data, ref.data, atol=1e-5)
+    with pytest.raises(ParameterError, match="key_mask must be boolean"):  # not the old additive form
+        ad.scaled_dot_attention(q, k, v, key_mask=np.array([0.0, -1e9, 0.0, -1e9]))
 
 
 def test_cross_entropy_one_hot_optimum():
@@ -370,13 +371,14 @@ def test_grad_shape_ops():
     check_grads(lambda: scalarize(ad.narrow(x, 1, 1, 2), Rng(13)), [x])
 
 
-def test_grad_concat_and_stack():
+def test_grad_concat_and_broadcast_to():
     rng = Rng(105)
     a = p64(rng, (2, 3))
     b = p64(rng, (4, 3))
     check_grads(lambda: scalarize(ad.concat([a, b], axis=0), Rng(14)), [a, b])
-    c = p64(rng, (2, 3))
-    check_grads(lambda: scalarize(ad.stack0([a, c]), Rng(15)), [a, c])
+    check_grads(lambda: scalarize(ad.broadcast_to(a, (4, 2, 3)), Rng(15)), [a])
+    c = p64(rng, (2, 1))
+    check_grads(lambda: scalarize(ad.broadcast_to(c, (3, 2, 5)), Rng(16)), [c])
 
 
 def test_grad_reductions():

@@ -29,6 +29,28 @@ def test_dry_run_exits_zero(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json")
     assert cli.main(["pretrain", "--config", str(cfg), "--dry-run"]) == 0
     assert "config ok" in capsys.readouterr().out
+    # an int stands for a float
+    cfg = _write_config(tmp_path / "c.json", tau1=1, split_train=1, split_val=0, split_test=0)
+    assert cli.main(["synth", "--config", str(cfg), "--dry-run"]) == 0
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"d1": "64"}, "config field 'd1' must be of type int, got '64'"),
+    ({"epochs": True}, "config field 'epochs' must be of type int"),
+    ({"batch_size": 3.0}, "config field 'batch_size' must be of type int"),
+    ({"tau1": False}, "config field 'tau1' must be of type float"),
+    ({"data_dir": 5}, "config field 'data_dir' must be of type str"),
+    ({"ffn_mult": -1}, "config field 'ffn_mult' must be positive"),
+    ({"split_train": -0.5}, "split_train must be in [0, 1]"),
+    ({"split_test": 1.5}, "split_test must be in [0, 1]"),
+    ({"split_train": 0.7, "split_val": 0.2, "split_test": 0.2},
+     "split_train + split_val + split_test must not exceed 1, got 1.1"),
+], ids=["str_for_int", "bool_for_int", "float_for_int", "bool_for_float", "int_for_str", "ffn_mult_negative",
+        "split_negative", "split_above_one", "split_sum_above_one"])
+def test_wrong_config_value_fails_dry_run(tmp_path, capsys, fields, message):
+    cfg = _write_config(tmp_path / "c.json", **fields)
+    assert cli.main(["synth", "--config", str(cfg), "--dry-run"]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("views", [{"view_count_min": 0}, {"view_count_min": 3, "view_count_max": 2}])
@@ -104,6 +126,38 @@ def test_truncated_view_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["pretrain", "--config", str(cfg)]) == 2
     assert "data error: truncated TEN1 header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("report", 7), ("anchor_index", "x"), ("views", ["v.ten", 3])],
+                         ids=["report", "anchor_index", "views"])
+def test_wrong_typed_manifest_field_is_data_error(tmp_path, capsys, field, value):
+    data_dir = tmp_path / "corpus"
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(tmp_path / "run"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    manifest = data_dir / "train.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 2
+    assert f"data error: {manifest}:2: field '{field}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"labels_gold": [0] * 13},
+    {"green_counts": {"errors": [0] * 6}},
+    {"green_counts": {"matched_findings": 1, "errors": [0, 0]}},
+], ids=["label_row_length", "green_without_matched", "green_errors_length"])
+def test_wrong_typed_generations_field_is_data_error(tmp_path, capsys, bad):
+    row = {"generated": "patchy opacity", "reference": "patchy opacity", "labels_pred": [0] * 14,
+           "labels_gold": [0] * 14, "green_counts": {"matched_findings": 1, "errors": [0] * 6}}
+    generations = tmp_path / "gen.jsonl"
+    generations.write_text(json.dumps(row) + "\n" + json.dumps({**row, **bad}) + "\n")
+    cfg = _write_config(tmp_path / "c.json", out_dir=str(tmp_path / "eval"))
+    assert cli.main(["evaluate", "--config", str(cfg), "--generations", str(generations)]) == 2
+    field = next(iter(bad))
+    assert f"data error: {generations}:2: field '{field}' must" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 def test_numerical_abort_writes_dump(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,7 @@ from mvreport.kgrg import (
     stage2_knowledge,
     teacher_forced_logprobs,
 )
+from mvreport.mvcl import stage1_forward
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
 from mvreport.synthetic import SynthSpec, build_vocabulary, synth_corpus
@@ -224,6 +225,30 @@ def test_finetune_step_decreases_loss():
     assert last < first
 
 
+def _tape_size(loss) -> int:
+    """Recorded ops reachable from ``loss`` (leaves and constants excluded)."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward_fn is not None
+            stack.extend(node._parents)
+    return count
+
+
+def test_tape_size_does_not_depend_on_batch_size():
+    sizes = []
+    for repeats in (1, 4):
+        indications = ["male with cough", None, "female with fever", None] * repeats
+        config, batch, vocab, params = _setup(view_counts=(1, 2, 3, 1) * repeats, indications=indications)
+        assert batch.B == 4 * repeats
+        sizes.append((_tape_size(stage1_forward(batch, params, vocab, config)[0]),
+                      _tape_size(lm_loss(batch, params, vocab, config))))
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_finetune_step_aborts_on_non_finite():
     config, batch, vocab, params = _setup()
     params["stage2.dec.out.b"].data[:] = np.inf
