@@ -20,27 +20,21 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, EmptyKeyError, GraphError, ParameterError, ValidationError
+from .errors import DimensionError, EmptyKeyError, GraphError, ParameterError
 
 _logger = logging.getLogger(__name__)
 
 DEFAULT_DTYPE = np.float32
 LOG_CLAMP = 1e-12
 L2_EPS = 1e-12
+LN_EPS = 1e-5
 # Additive score for a masked attention or logit position; exp() of it underflows to exactly 0.
 NEG_INF = -1e9
 
-# When True, cross_entropy_rows validates that its inputs are row-stochastic.
-DEBUG_VALIDATE = False
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
 # Set once l2_normalize has logged its near-zero-norm warning, which it logs once per process.
 _near_zero_norm_warned = False
-
-
-def set_debug_validation(enabled: bool) -> None:
-    global DEBUG_VALIDATE
-    DEBUG_VALIDATE = enabled
 
 
 @contextlib.contextmanager
@@ -82,15 +76,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -386,7 +373,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def backward_fn(g):
         rows = indices.reshape(-1)
         g_rows = g.reshape((-1,) + a.shape[1:])
-        if len(np.unique(rows)) == len(rows):
+        ordered = np.sort(rows)  # NumPy 2.4's np.unique hashes ints: ~60x slower at 2e5 rows
+        if (ordered[1:] != ordered[:-1]).all():
             a._grad_buffer()[rows] += g_rows  # far faster than np.add.at
         else:
             np.add.at(a._grad_buffer(), rows, g_rows)
@@ -491,16 +479,14 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     return _make(out_data, (x,), backward_fn, "log_softmax_rows")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
     var = ((x.data.astype(np.float64) - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    inv = (1.0 / np.sqrt(var + LN_EPS)).astype(x.dtype)
     xhat = ((x.data - mu.astype(x.dtype)) * inv).astype(x.dtype)
     out_data = xhat * gain.data + bias.data
 
@@ -565,11 +551,6 @@ def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
     """Mean-over-rows cross entropy -(1/n) sum_ij p_ij log q_ij."""
     if target_p.shape != pred_q.shape:
         raise DimensionError(f"cross_entropy_rows shape mismatch: {target_p.shape} vs {pred_q.shape}")
-    if DEBUG_VALIDATE:
-        for name, t in (("target_p", target_p), ("pred_q", pred_q)):
-            sums = _sum64(t.data, axis=-1)
-            if not np.allclose(sums, 1.0, atol=1e-5):
-                raise ValidationError(f"cross_entropy_rows: {name} rows are not stochastic (sums={sums})")
     n = int(np.prod(target_p.shape[:-1])) if target_p.data.ndim > 1 else 1
     per_entry = mul(target_p, log(pred_q))
     return mul(tsum(per_entry), _lift(-1.0 / n, target_p.dtype))

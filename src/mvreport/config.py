@@ -68,6 +68,9 @@ class RunConfig:
         for name in positives:
             if getattr(self, name) <= 0:
                 raise UsageError(f"config field '{name}' must be positive, got {getattr(self, name)}")
+        for name in ("max_steps", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"config field '{name}' must not be negative, got {getattr(self, name)}")
         if self.d1 != self.d2:
             raise UsageError(f"d1 ({self.d1}) must equal d2 ({self.d2}) so visual and text tokens share the bridge space")
         if self.image_size % 8 != 0:
@@ -99,6 +102,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
             values = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise UsageError(f"config file {path} is not valid JSON: {err}") from err
+        if not isinstance(values, dict):
+            raise UsageError(f"config file {path} must hold a JSON object, got {values!r}")
         unknown = set(values) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise UsageError(f"unknown config fields in {path}: {sorted(unknown)}")

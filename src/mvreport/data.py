@@ -17,7 +17,7 @@ from .text import clean_indication, fallback_serialize
 log = logging.getLogger(__name__)
 
 # Reports consisting solely of one of these phrases carry no clinical
-# content and are skipped at load time (configurable).
+# content and are skipped at load time.
 DEFAULT_REPORT_BLACKLIST = (
     "portable ap upright chest film at 09:31 is submitted",
 )
@@ -78,36 +78,40 @@ class Batch:
         return offsets
 
 
-def load_manifest(path, base_dir=None, report_blacklist=DEFAULT_REPORT_BLACKLIST) -> list[Study]:
-    """Read a JSONL manifest; each line describes one study.
-
-    View paths resolve relative to ``base_dir`` (default: the manifest's
-    directory). Indications are cleaned; a missing factual_serialization
-    falls back to the rule-based splitter. Studies whose report is empty
-    or blacklisted are skipped with a warning.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    base = Path(base_dir) if base_dir is not None else path.parent
-    studies = []
+def read_jsonl(path):
+    """Yield ``("path:line", record)`` for every non-blank line of a JSONL
+    file; a line that is not a JSON object raises ``DataError``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {err}") from err
-            study = _study_from_record(record, base, f"{path}:{lineno}", report_blacklist)
-            if study is None:
-                continue
-            studies.append(study)
-    return studies
+                raise DataError(f"{where}: malformed JSON: {err}") from err
+            if not isinstance(record, dict):
+                raise DataError(f"{where}: expected a JSON object, got {record!r}")
+            yield where, record
 
 
-def _study_from_record(record: dict, base: Path, where: str, report_blacklist) -> Study | None:
+def load_manifest(path) -> list[Study]:
+    """Read a JSONL manifest; each line describes one study.
+
+    View paths resolve relative to the manifest's directory. Indications
+    are cleaned; a missing factual_serialization falls back to the
+    rule-based splitter. Studies whose report is empty or blacklisted are
+    skipped with a warning.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"manifest not found: {path}")
+    studies = (_study_from_record(record, path.parent, where) for where, record in read_jsonl(path))
+    return [study for study in studies if study is not None]
+
+
+def _study_from_record(record: dict, base: Path, where: str) -> Study | None:
     for key in ("study_id", "views", "report"):
         if key not in record:
             raise DataError(f"{where}: missing required field '{key}'")
@@ -115,7 +119,7 @@ def _study_from_record(record: dict, base: Path, where: str, report_blacklist) -
         raise DataError(f"{where}: field 'report' must be a string, got {record['report']!r}")
     report = record["report"].strip()
     normalized = " ".join(report.lower().split())
-    if not normalized or normalized.rstrip(".") in {b.rstrip(".") for b in report_blacklist}:
+    if not normalized or normalized.rstrip(".") in {b.rstrip(".") for b in DEFAULT_REPORT_BLACKLIST}:
         log.warning("%s: skipping study %s with empty or insignificant report", where, record["study_id"])
         return None
     view_paths = record["views"]

@@ -25,10 +25,6 @@ class EmptyKeyError(MvReportError):
     """Attention was invoked with zero key positions."""
 
 
-class ValidationError(MvReportError):
-    """A runtime value check failed (e.g. non-row-stochastic distribution)."""
-
-
 class DataError(MvReportError):
     """Malformed manifest, missing file, or inconsistent study data."""
 

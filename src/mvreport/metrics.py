@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .errors import DataError, DimensionError
 
 BLEU_EPS = 1e-9
+BLEU_MAX_N = 4
 ROUGE_BETA = 1.2
 METEOR_ALPHA = 0.9
 METEOR_GAMMA = 0.5
@@ -46,24 +47,24 @@ def _ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidates, references, max_n: int = 4) -> list:
-    """Corpus BLEU-1..max_n: clipped n-gram precision with brevity
+def bleu(candidates, references) -> list:
+    """Corpus BLEU-1..BLEU_MAX_N: clipped n-gram precision with brevity
     penalty; zero counts are epsilon-smoothed to avoid log(0)."""
     _check_corpus(candidates, references)
     cand_len = ref_len = 0
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * BLEU_MAX_N
+    totals = [0] * BLEU_MAX_N
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             cand_counts = _ngrams(cand, n)
             ref_counts = _ngrams(ref, n)
             matches[n - 1] += sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
             totals[n - 1] += max(len(cand) - n + 1, 0)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len) if cand_len > 0 else 0.0
     scores = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         log_sum = 0.0
         for k in range(n):
             precision = matches[k] / totals[k] if totals[k] > 0 else 0.0
@@ -157,21 +158,18 @@ def meteor_simplified(candidates, references) -> float:
     return total / len(candidates)
 
 
-def ce_f1(pred_labels, gold_labels, subset: int = 14, observation_names=None):
+def ce_f1(pred_labels, gold_labels, subset: int = 14):
     """Per-observation P/R/F1 plus micro (pooled) and macro (averaged).
 
     Labels are aligned lists of 14 binary values in the fixed observation
     order. ``subset=5`` restricts scoring to the competition
-    observations (configurable via ``observation_names``).
+    observations.
     """
     if len(pred_labels) != len(gold_labels):
         raise DimensionError(f"label list length mismatch: {len(pred_labels)} vs {len(gold_labels)}")
-    if subset == 14:
-        names = list(OBSERVATIONS)
-    elif subset == 5:
-        names = list(observation_names) if observation_names is not None else list(OBSERVATIONS_5)
-    else:
+    if subset not in (14, 5):
         raise DataError(f"subset must be 14 or 5, got {subset}")
+    names = OBSERVATIONS if subset == 14 else OBSERVATIONS_5
     indices = [OBSERVATIONS.index(name) for name in names]
     for row in list(pred_labels) + list(gold_labels):
         if len(row) != len(OBSERVATIONS):

@@ -33,15 +33,6 @@ class LossBreakdown:
     total: float
 
 
-def _drop_diagonal(square: Tensor, k: int) -> Tensor:
-    """[K, K] -> [K, K-1] with the diagonal removed, autodiff-safe."""
-    flat = ad.reshape(square, (k * k,))
-    trimmed = ad.narrow(flat, 0, 0, k * k - 1)
-    folded = ad.reshape(trimmed, (k - 1, k + 1))
-    off = ad.narrow(folded, 1, 1, k)
-    return ad.reshape(off, (k, k - 1))
-
-
 def mpc_distributions(v_globals: Tensor, batch: Batch, tau1: float) -> MpcDistributions | None:
     """Contrastive (q) and ground-truth (p) distributions over the K views
     of multi-view studies. Returns None when K < 2 (mpc not applicable).
@@ -61,12 +52,14 @@ def mpc_distributions(v_globals: Tensor, batch: Batch, tau1: float) -> MpcDistri
 
     pool = ad.gather_rows(v_globals, keep_rows)
     sims = ad.matmul(pool, ad.swap_last2(pool))  # [K, K]
-    q = ad.softmax_rows(_drop_diagonal(sims, k), temperature=tau1)
+    # flat [K*K] index of each row's off-diagonal entries, in column order: [K, K-1]
+    off_diag = np.flatnonzero(~np.eye(k, dtype=bool)).reshape(k, k - 1)
+    q = ad.softmax_rows(ad.gather_rows(ad.reshape(sims, (k * k,)), off_diag), temperature=tau1)
 
     study_ids = study_of_view[keep_rows]
     same = (study_ids[:, None] == study_ids[None, :]).astype(np.float32)
-    flat = same.reshape(-1)[:-1].reshape(k - 1, k + 1)[:, 1:].reshape(k, k - 1)
-    p = flat / flat.sum(axis=1, keepdims=True)
+    off_same = same.reshape(-1)[off_diag]
+    p = off_same / off_same.sum(axis=1, keepdims=True)
     index_map = list(zip(study_ids.tolist(), view_in_study[keep_rows].tolist()))
     return MpcDistributions(q=q, p=p, anchor_index_map=index_map)
 

@@ -10,10 +10,12 @@ from .errors import NumericalAbort
 class AdamW:
     """Groups are (name -> Tensor, learning_rate) pairs sharing one step count."""
 
-    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, groups, weight_decay=0.0):
         self.groups = [(dict(params), float(lr)) for params, lr in groups]
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.state = {}
@@ -52,20 +54,3 @@ class AdamW:
         for params, _ in self.groups:
             for p in params.values():
                 p.grad = None
-
-    def state_arrays(self) -> dict:
-        """Flat name -> array view of optimizer state, for checkpointing."""
-        out = {}
-        for name, st in self.state.items():
-            out[f"opt.{name}.m"] = st["m"]
-            out[f"opt.{name}.v"] = st["v"]
-        return out
-
-    def load_state_arrays(self, arrays: dict, step_count: int) -> None:
-        for name, st in self.state.items():
-            key_m, key_v = f"opt.{name}.m", f"opt.{name}.v"
-            if key_m in arrays:
-                st["m"] = arrays[key_m].astype(np.float32)
-            if key_v in arrays:
-                st["v"] = arrays[key_v].astype(np.float32)
-        self.step_count = step_count

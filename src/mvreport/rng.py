@@ -81,8 +81,8 @@ class Rng:
             if u < limit:
                 return low + (u % n)
 
-    def normal(self, size, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """Box-Muller standard normals, scaled.
+    def normal(self, size, std: float = 1.0) -> np.ndarray:
+        """Box-Muller standard normals, scaled by ``std``.
 
         Pair k uses outputs (2k, 2k+1) as (u1, u2), with u1 = 1 - u in (0, 1],
         and yields (r cos, r sin); an odd count drops the last sine value.
@@ -94,7 +94,7 @@ class Rng:
         out = np.empty(u.size, dtype=np.float64)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
-        return (mean + std * out[:n]).reshape(size)
+        return (std * out[:n]).reshape(size)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

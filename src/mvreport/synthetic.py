@@ -29,6 +29,7 @@ SEVERITY_WORDS = ["mild", "moderate", "severe"]
 
 GRID = 4  # patterns live on a GRID x GRID block layout
 N_PATTERNS = GRID * GRID
+NOISE_STD = 0.05  # per-pixel Gaussian noise on every view
 
 
 @dataclass
@@ -37,7 +38,6 @@ class SynthSpec:
     view_count_range: tuple = (1, 3)
     image_size: int = 32
     indication_rate: float = 0.66
-    noise_std: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -50,12 +50,12 @@ class SynthSpec:
             raise DataError(f"image_size must be divisible by {GRID}, got {self.image_size}")
 
 
-def _pattern_image(pattern: int, size: int, rng: Rng, noise_std: float) -> np.ndarray:
+def _pattern_image(pattern: int, size: int, rng: Rng) -> np.ndarray:
     block = size // GRID
     img = np.full((size, size), 0.1, dtype=np.float32)
     r, c = divmod(pattern, GRID)
     img[r * block : (r + 1) * block, c * block : (c + 1) * block] = 2.0
-    img += rng.normal((size, size), std=noise_std).astype(np.float32)
+    img += rng.normal((size, size), std=NOISE_STD).astype(np.float32)
     return img
 
 
@@ -82,7 +82,7 @@ def generate_records(spec: SynthSpec) -> list[dict]:
         pattern = pattern_order[i % N_PATTERNS]
         severity = rng.integers(0, len(SEVERITY_WORDS))
         m = rng.integers(spec.view_count_range[0], spec.view_count_range[1] + 1)
-        views = [_pattern_image(pattern, spec.image_size, img_rng, spec.noise_std) for _ in range(m)]
+        views = [_pattern_image(pattern, spec.image_size, img_rng) for _ in range(m)]
         indication = _raw_indication(severity, rng) if rng.random() < spec.indication_rate else None
         report = _report_for(pattern, severity)
         records.append(

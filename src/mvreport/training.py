@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import check_compatibility, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import load_manifest, make_batches
+from .data import load_manifest, make_batches, read_jsonl
 from .encoders import init_stage1_params
 from .errors import CheckpointError, DataError
 from .kgrg import finetune_step, generate_batch, init_stage2_params, lm_loss, split_param_groups
@@ -44,6 +44,15 @@ def _vocab_from_meta(meta: dict) -> Vocabulary:
     for tok in tokens[len(vocab.id_to_token) :]:
         vocab.add(tok)
     return vocab
+
+
+def _load_stage(ckpt, config: RunConfig, stage: str):
+    """Load a ``stage`` checkpoint, rebuild its vocabulary and check both
+    against ``config``; returns ``(params, vocab)``."""
+    params, _, meta = load_checkpoint(ckpt)
+    vocab = _vocab_from_meta(meta)
+    check_compatibility(meta, params, _param_shapes(config, vocab, stage), vocab.content_hash(), expected_stage=stage)
+    return params, vocab
 
 
 def _append_jsonl(path: Path, record: dict) -> None:
@@ -161,10 +170,7 @@ def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = F
     train = _load_split(config, "train")
     val = _load_split(config, "val")
     if stage1_ckpt is not None:
-        stage1_params, _, meta = load_checkpoint(stage1_ckpt)
-        vocab = _vocab_from_meta(meta)
-        check_compatibility(meta, stage1_params, _param_shapes(config, vocab, "stage1"), vocab.content_hash(),
-                            expected_stage="stage1")
+        stage1_params, vocab = _load_stage(stage1_ckpt, config, "stage1")
     elif allow_cold_start:
         vocab = build_vocabulary(train)
         stage1_params = mvcl_init_params(config, vocab)
@@ -197,10 +203,7 @@ def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = F
 
 def generate_run(ckpt_dir, manifest_path, config: RunConfig, mode: str, beam_width: int, out_path) -> Path:
     """Decode every study in the manifest; one JSONL line per study."""
-    params, _, meta = load_checkpoint(ckpt_dir)
-    vocab = _vocab_from_meta(meta)
-    check_compatibility(meta, params, _param_shapes(config, vocab, "stage2"), vocab.content_hash(),
-                        expected_stage="stage2")
+    params, vocab = _load_stage(ckpt_dir, config, "stage2")
     studies = load_manifest(manifest_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -225,37 +228,29 @@ def evaluate_run(generations_path, out_dir) -> dict:
     labels_pred, labels_gold = [], []
     green_matched, green_errors = 0, np.zeros(6, dtype=np.int64)
     has_labels = has_green = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for where, rec in read_jsonl(path):
+        for key in ("generated", "reference"):
+            if key not in rec:
+                raise DataError(f"{where}: missing field '{key}'")
+        cands.append(tokenize(rec["generated"]))
+        refs.append(tokenize(rec["reference"]))
+        if "labels_pred" in rec and "labels_gold" in rec:
+            for key in ("labels_pred", "labels_gold"):
+                if not isinstance(rec[key], list) or len(rec[key]) != len(OBSERVATIONS):
+                    raise DataError(f"{where}: field '{key}' must be a list of {len(OBSERVATIONS)} labels")
+            has_labels = True
+            labels_pred.append(rec["labels_pred"])
+            labels_gold.append(rec["labels_gold"])
+        if "green_counts" in rec:
+            has_green = True
+            gc = rec["green_counts"]
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"{path}:{lineno}: malformed JSON: {err}") from err
-            for key in ("generated", "reference"):
-                if key not in rec:
-                    raise DataError(f"{path}:{lineno}: missing field '{key}'")
-            cands.append(tokenize(rec["generated"]))
-            refs.append(tokenize(rec["reference"]))
-            if "labels_pred" in rec and "labels_gold" in rec:
-                for key in ("labels_pred", "labels_gold"):
-                    if not isinstance(rec[key], list) or len(rec[key]) != len(OBSERVATIONS):
-                        raise DataError(f"{path}:{lineno}: field '{key}' must be a list of {len(OBSERVATIONS)} labels")
-                has_labels = True
-                labels_pred.append(rec["labels_pred"])
-                labels_gold.append(rec["labels_gold"])
-            if "green_counts" in rec:
-                has_green = True
-                gc = rec["green_counts"]
-                try:
-                    counts = GreenCounts(int(gc["matched_findings"]), [int(e) for e in gc["errors"]])
-                except (DataError, KeyError, TypeError, ValueError) as err:
-                    raise DataError(f"{path}:{lineno}: field 'green_counts' must hold a non-negative "
-                                    f"'matched_findings' and six non-negative 'errors', got {gc!r}") from err
-                green_matched += counts.matched_findings
-                green_errors += np.asarray(counts.errors, dtype=np.int64)
+                counts = GreenCounts(int(gc["matched_findings"]), [int(e) for e in gc["errors"]])
+            except (DataError, KeyError, TypeError, ValueError) as err:
+                raise DataError(f"{where}: field 'green_counts' must hold a non-negative "
+                                f"'matched_findings' and six non-negative 'errors', got {gc!r}") from err
+            green_matched += counts.matched_findings
+            green_errors += np.asarray(counts.errors, dtype=np.int64)
 
     report = {
         "bleu": bleu(cands, refs),

@@ -10,7 +10,6 @@ from mvreport.errors import (
     EmptyKeyError,
     GraphError,
     ParameterError,
-    ValidationError,
 )
 from mvreport.rng import Rng
 
@@ -189,15 +188,6 @@ def test_cross_entropy_gibbs_inequality():
         loss = ad.cross_entropy_rows(ad.constant(p), ad.constant(q)).item()
         entropy = float(-(p * np.log(p)).sum(axis=-1).mean())
         assert loss >= entropy - 1e-5
-
-
-def test_cross_entropy_debug_validation():
-    ad.set_debug_validation(True)
-    try:
-        with pytest.raises(ValidationError):
-            ad.cross_entropy_rows(ad.constant([[0.5, 0.2]]), ad.constant([[0.5, 0.5]]))
-    finally:
-        ad.set_debug_validation(False)
 
 
 def test_cross_entropy_shape_mismatch():

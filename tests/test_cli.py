@@ -45,12 +45,21 @@ def test_dry_run_exits_zero(tmp_path, capsys):
     ({"split_test": 1.5}, "split_test must be in [0, 1]"),
     ({"split_train": 0.7, "split_val": 0.2, "split_test": 0.2},
      "split_train + split_val + split_test must not exceed 1, got 1.1"),
+    ({"max_steps": -1}, "config field 'max_steps' must not be negative, got -1"),
+    ({"weight_decay": -0.5}, "config field 'weight_decay' must not be negative, got -0.5"),
+    (None, "config file {cfg} must hold a JSON object, got None"),
+    ([], "config file {cfg} must hold a JSON object, got []"),
 ], ids=["str_for_int", "bool_for_int", "float_for_int", "bool_for_float", "int_for_str", "ffn_mult_negative",
-        "split_negative", "split_above_one", "split_sum_above_one"])
+        "split_negative", "split_above_one", "split_sum_above_one", "max_steps_negative", "weight_decay_negative",
+        "null_file", "list_file"])
 def test_wrong_config_value_fails_dry_run(tmp_path, capsys, fields, message):
-    cfg = _write_config(tmp_path / "c.json", **fields)
+    if isinstance(fields, dict):
+        cfg = _write_config(tmp_path / "c.json", **fields)
+    else:  # the whole file is JSON, but not an object
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(fields))
     assert cli.main(["synth", "--config", str(cfg), "--dry-run"]) == 1
-    assert f"usage error: {message}" in capsys.readouterr().err
+    assert f"usage error: {message.format(cfg=cfg)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("views", [{"view_count_min": 0}, {"view_count_min": 3, "view_count_max": 2}])
@@ -141,6 +150,28 @@ def test_wrong_typed_manifest_field_is_data_error(tmp_path, capsys, field, value
     capsys.readouterr()
     assert cli.main(["pretrain", "--config", str(cfg)]) == 2
     assert f"data error: {manifest}:2: field '{field}' must be" in capsys.readouterr().err
+
+
+def test_manifest_line_that_is_not_an_object_is_data_error(tmp_path, capsys):
+    data_dir = tmp_path / "corpus"
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(tmp_path / "run"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    manifest = data_dir / "train.jsonl"
+    lines = manifest.read_text().splitlines()
+    lines[1] = "null"
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 2
+    assert f"data error: {manifest}:2: expected a JSON object, got None" in capsys.readouterr().err
+
+
+def test_generations_line_that_is_not_an_object_is_data_error(tmp_path, capsys):
+    generations = tmp_path / "gen.jsonl"
+    generations.write_text(json.dumps({"generated": "patchy opacity", "reference": "patchy opacity"}) + "\n42\n")
+    cfg = _write_config(tmp_path / "c.json", out_dir=str(tmp_path / "eval"))
+    assert cli.main(["evaluate", "--config", str(cfg), "--generations", str(generations)]) == 2
+    assert f"data error: {generations}:2: expected a JSON object, got 42" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("bad", [

@@ -98,6 +98,28 @@ def test_mpc_p_row_nonzero_counts(rng):
         np.testing.assert_allclose(nonzero, nonzero[0])
 
 
+@pytest.mark.parametrize("counts", [[3], [2, 1, 3], [4, 2, 1], [1, 4, 3], [2, 4, 1, 2, 3]],
+                         ids=["K3", "K5", "K6", "K7", "K14"])
+def test_mpc_off_diagonal_matches_numpy_selection(rng, counts):
+    batch = Batch([make_study(f"s{i}", m, rng) for i, m in enumerate(counts)])
+    tau1 = 0.3
+    v = np.asarray(Rng(7).normal((batch.M_imgs, 5)), dtype=F64)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    dists = mpc_distributions(ad.constant(v, dtype=F64), batch, tau1=tau1)
+    keep = np.flatnonzero(np.repeat(counts, counts) > 1)
+    k = len(keep)
+    off = ~np.eye(k, dtype=bool)
+    logits = (v[keep] @ v[keep].T)[off].reshape(k, k - 1) / tau1
+    q = np.exp(logits - logits.max(axis=1, keepdims=True))
+    np.testing.assert_allclose(dists.q.data, q / q.sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
+    study = np.repeat(np.arange(len(counts)), counts)[keep]
+    same = (study[:, None] == study[None, :]).astype(np.float32)[off].reshape(k, k - 1)
+    np.testing.assert_array_equal(dists.p, same / same.sum(axis=1, keepdims=True))
+
+    v_param = ad.parameter(v, dtype=F64)
+    check_grads(lambda: mpc_loss(mpc_distributions(v_param, batch, tau1=tau1)), [v_param])
+
+
 def test_mpc_loss_at_optimum_is_entropy(rng):
     p = np.array([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]], dtype=np.float32)
     dists = MpcDistributions(q=ad.constant(p), p=p, anchor_index_map=[])

@@ -55,7 +55,7 @@ def test_integers_bounds_and_coverage():
 
 
 def test_normal_moments():
-    samples = Rng(11).normal((20000,), mean=1.0, std=2.0)
+    samples = 1.0 + Rng(11).normal((20000,), std=2.0)
     assert abs(samples.mean() - 1.0) < 0.05
     assert abs(samples.std() - 2.0) < 0.05
 
