@@ -84,9 +84,22 @@ class Tensor:
 
     # -- graph ----------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into the gradient.
+
+        A first gradient is copied unless ``fresh`` is True, in which case
+        ``g`` itself becomes the gradient. A closure passes ``fresh=True``
+        only for an array it built itself and holds nowhere else (a product,
+        a GEMM result, a reduction): ``_grad_buffer`` later adds into
+        ``self.grad`` in place, which would change any other holder of it.
+        A view of the upstream gradient (add, reshape, transpose, concat,
+        broadcast) is never fresh.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if fresh and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
@@ -239,7 +252,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if _needs_grad(a):
             a._accumulate(_unbroadcast(g, a.shape))
         if _needs_grad(b):
-            b._accumulate(_unbroadcast(-g, b.shape))
+            b._accumulate(_unbroadcast(-g, b.shape), fresh=True)
 
     return _make(out_data, (a, b), backward_fn, "sub")
 
@@ -249,9 +262,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if _needs_grad(a):
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
         if _needs_grad(b):
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(out_data, (a, b), backward_fn, "mul")
 
@@ -261,9 +274,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if _needs_grad(a):
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.shape), fresh=True)
         if _needs_grad(b):
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
 
     return _make(out_data, (a, b), backward_fn, "div")
 
@@ -272,7 +285,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def backward_fn(g):
-        a._accumulate(g * (a.data > 0))
+        a._accumulate(g * (a.data > 0), fresh=True)
 
     return _make(out_data, (a,), backward_fn, "relu")
 
@@ -281,7 +294,7 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward_fn(g):
-        a._accumulate(g * out_data)
+        a._accumulate(g * out_data, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "exp")
 
@@ -292,7 +305,7 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(clamped)
 
     def backward_fn(g):
-        a._accumulate(g / clamped)
+        a._accumulate(g / clamped, fresh=True)
 
     return _make(out_data, (a,), backward_fn, "log")
 
@@ -436,10 +449,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         if _needs_grad(a):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
         if _needs_grad(b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
@@ -458,7 +471,7 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
 
     def backward_fn(g):
         inner = _sum64(g * out_data, axis=-1, keepdims=True)
-        x._accumulate((g - inner) * out_data / temperature)
+        x._accumulate((g - inner) * out_data / temperature, fresh=True)
 
     return _make(out_data.astype(x.dtype), (x,), backward_fn, "softmax_rows")
 
@@ -474,7 +487,7 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
 
     def backward_fn(g):
         inner = _sum64(g, axis=-1, keepdims=True)
-        x._accumulate((g - soft * inner) / temperature)
+        x._accumulate((g - soft * inner) / temperature, fresh=True)
 
     return _make(out_data, (x,), backward_fn, "log_softmax_rows")
 
@@ -495,12 +508,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            x._accumulate(inv * (dxhat - m1 - xhat * m2), fresh=True)
         lead = tuple(range(g.ndim - 1))
         if _needs_grad(gain):
-            gain._accumulate(_sum64(g * xhat, axis=lead))
+            gain._accumulate(_sum64(g * xhat, axis=lead), fresh=True)
         if _needs_grad(bias):
-            bias._accumulate(_sum64(g, axis=lead))
+            bias._accumulate(_sum64(g, axis=lead), fresh=True)
 
     return _make(out_data, (x, gain, bias), backward_fn, "layer_norm")
 
@@ -518,7 +531,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     def backward_fn(g):
         norm_safe = np.maximum(norm, L2_EPS)
         inner = _sum64(g * x.data, axis=-1, keepdims=True)
-        x._accumulate(g / denom - x.data * (inner / (norm_safe * denom * denom)))
+        x._accumulate(g / denom - x.data * (inner / (norm_safe * denom * denom)), fresh=True)
 
     return _make(out_data, (x,), backward_fn, "l2_normalize")
 
@@ -562,7 +575,8 @@ def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     """[N, H, W, C] -> columns [N*Ho*Wo, C*kh*kw] in (c, kh, kw) order."""
     n, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)  # np.pad is slower
+    xp[:, pad : pad + h, pad : pad + w] = x
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     s0, s1, s2, s3 = xp.strides
@@ -579,14 +593,24 @@ def _col2im(gtaps: np.ndarray, x_shape, ho: int, wo: int, stride: int, pad: int)
     """Per-tap input gradients [kh, kw, N*Ho*Wo, C] -> [N, H, W, C]."""
     n, h, w, c = x_shape
     kh, kw = gtaps.shape[:2]
-    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=gtaps.dtype)
+    gx = np.zeros(x_shape, dtype=gtaps.dtype)
     taps = gtaps.reshape(kh, kw, n, ho, wo, c)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[i, j]
-    if pad:
-        gx = gx[:, pad:-pad, pad:-pad]
+    for i, (out_rows, in_rows) in enumerate(_tap_slices(kh, stride, pad, h, ho)):
+        for j, (out_cols, in_cols) in enumerate(_tap_slices(kw, stride, pad, w, wo)):
+            gx[:, in_rows, in_cols] += taps[i, j, :, out_rows, out_cols]
     return gx
+
+
+def _tap_slices(k: int, stride: int, pad: int, size: int, out_size: int) -> list:
+    """Per kernel offset along one axis: the output positions whose tap lands
+    inside the unpadded input, and the input positions they land on."""
+    slices = []
+    for offset in range(k):
+        o0 = max(0, -((offset - pad) // stride))  # ceil((pad - offset) / stride)
+        o1 = max(o0, min(out_size, (size - 1 + pad - offset) // stride + 1))
+        y0 = o0 * stride + offset - pad
+        slices.append((slice(o0, o1), slice(y0, y0 + stride * (o1 - o0), stride)))
+    return slices
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -603,13 +627,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     def backward_fn(g):
         gmat = g.reshape(-1, o)
         if _needs_grad(w):
-            w._accumulate((gmat.T @ cols).reshape(w.shape))
+            w._accumulate((gmat.T @ cols).reshape(w.shape), fresh=True)
         if _needs_grad(b):
-            b._accumulate(_sum64(gmat, axis=0))
+            b._accumulate(_sum64(gmat, axis=0), fresh=True)
         if _needs_grad(x):
             # one GEMM per tap: [rows, O] @ [O, C] for each (i, j)
             gtaps = np.matmul(gmat, np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)))
-            x._accumulate(_col2im(gtaps, x.shape, ho, wo, stride, padding))
+            x._accumulate(_col2im(gtaps, x.shape, ho, wo, stride, padding), fresh=True)
 
     return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 

@@ -476,6 +476,27 @@ def test_grad_slices_add_into_an_existing_gradient():
     check_grads(loss, [x])
 
 
+@pytest.mark.parametrize("slice_op", ["narrow", "gather_rows"])
+@pytest.mark.parametrize("slice_term_first", [False, True])
+def test_shared_upstream_gradient_stays_separate_from_an_in_place_slice_gradient(slice_op, slice_term_first):
+    # add hands one upstream array to both parents; p then also takes a slice
+    # gradient added into its buffer in place, which must not reach q's
+    rng = Rng(117)
+    p = p64(rng, (4, 3))
+    q = p64(rng, (4, 3))
+    c = np.asarray(rng.normal((4, 3)), dtype=F64)
+    d = np.asarray(rng.normal((2, 3)), dtype=F64)
+    sliced = ad.narrow(p, 0, 1, 2) if slice_op == "narrow" else ad.gather_rows(p, np.array([1, 2]))
+    terms = [ad.tsum(ad.add(p, q) * ad.constant(c, F64)), ad.tsum(sliced * ad.constant(d, F64))]
+    if slice_term_first:
+        terms.reverse()
+    (terms[0] + terms[1]).backward()
+    expected_p = c.copy()
+    expected_p[1:3] += d
+    np.testing.assert_array_equal(q.grad, c)
+    np.testing.assert_array_equal(p.grad, expected_p)
+
+
 # -- no_grad -----------------------------------------------------------------
 
 
