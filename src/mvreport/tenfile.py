@@ -6,6 +6,7 @@ then the float32 little-endian payload in row-major order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -41,9 +42,12 @@ def read_tensor(path) -> np.ndarray:
     if len(blob) < offset:
         raise DataError(f"truncated TEN1 header in {path}: {ndim} dims need {offset} bytes, got {len(blob)}")
     dims = struct.unpack_from(f"<{ndim}I", blob, 5)
-    count = int(np.prod(dims)) if ndim else 1
+    count = math.prod(dims)  # Python ints: np.prod wraps at 2**64
     expected = offset + 4 * count
     if len(blob) != expected:
         raise DataError(f"TEN1 payload size mismatch in {path}: expected {expected} bytes, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    return data.reshape(dims).astype(np.float32)
+    try:
+        return data.reshape(dims).astype(np.float32)
+    except ValueError as err:  # more than 64 dims, or zero dims beside ones too large for NumPy
+        raise DataError(f"TEN1 dims {dims} in {path} are not a valid array shape: {err}") from err

@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvreport.errors import DataError
 from mvreport.tenfile import read_tensor, write_tensor
@@ -51,3 +54,35 @@ def test_truncated_payload(tmp_path, cut):
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         read_tensor(tmp_path / "absent.ten")
+
+
+def test_dims_whose_product_overflows_int64_are_a_data_error(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64, which matched an empty payload
+    path = tmp_path / "o.ten"
+    path.write_bytes(b"TEN1" + struct.pack("<B4I", 4, *(65536,) * 4))
+    with pytest.raises(DataError, match="size"):
+        read_tensor(path)
+
+
+# Headers with a few dims drawn from edge values (powers of two whose
+# product wraps in 64 bits, zero, u32 max) and a payload of whole floats,
+# besides arbitrary bytes.
+_DIM = st.one_of(st.sampled_from([0, 1, 2, 3, 2**16, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_STRUCTURED = st.builds(
+    lambda dims, floats, tail: struct.pack(f"<B{len(dims)}I", len(dims), *dims) + b"\0" * (4 * floats) + tail,
+    st.lists(_DIM, max_size=6),
+    st.integers(0, 8),
+    st.binary(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.one_of(st.binary(max_size=64), _STRUCTURED))
+def test_any_bytes_after_magic_read_as_float32_or_data_error(tmp_path_factory, tail):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ten"
+    path.write_bytes(b"TEN1" + tail)
+    try:
+        arr = read_tensor(path)
+    except DataError:
+        return
+    assert isinstance(arr, np.ndarray) and arr.dtype == np.float32
