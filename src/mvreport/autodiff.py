@@ -387,10 +387,15 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         rows = indices.reshape(-1)
         g_rows = g.reshape((-1,) + a.shape[1:])
         ordered = np.sort(rows)  # NumPy 2.4's np.unique hashes ints: ~60x slower at 2e5 rows
-        if (ordered[1:] != ordered[:-1]).all():
+        new_id = ordered[1:] != ordered[:-1]
+        if new_id.all():
             a._grad_buffer()[rows] += g_rows  # far faster than np.add.at
         else:
-            np.add.at(a._grad_buffer(), rows, g_rows)
+            # segment sum, far faster than np.add.at: group equal ids (stably,
+            # so each group keeps its rows' order), sum each group, add once
+            starts = np.flatnonzero(np.r_[True, new_id])
+            grouped = g_rows[np.argsort(rows, kind="stable")]
+            a._grad_buffer()[ordered[starts]] += np.add.reduceat(grouped, starts, axis=0)
 
     return _make(out_data, (a,), backward_fn, "gather_rows")
 
@@ -447,6 +452,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul batch dims incompatible: {a.shape} vs {b.shape}") from err
 
     def backward_fn(g):
+        if b.data.ndim == 2:
+            # [..., d] @ [d, k]: fold the batch axes into rows, one 2-D GEMM
+            # per gradient (the forward stays batched, which is faster there)
+            d, k = b.shape
+            g2 = g.reshape(-1, k)
+            if _needs_grad(a):
+                a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
+            if _needs_grad(b):
+                b._accumulate(a.data.reshape(-1, d).T @ g2, fresh=True)
+            return
         if _needs_grad(a):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape), fresh=True)

@@ -322,6 +322,32 @@ def test_grad_matmul():
     check_grads(lambda: scalarize(ad.matmul(a, b), Rng(0)), [a, b])
 
 
+def test_grad_matmul_with_weight_on_the_right():
+    # [..., d] @ [d, k] runs its backward as 2-D GEMMs over folded rows
+    rng = Rng(118)
+    w = p64(rng, (4, 3))
+    single = p64(rng, (1, 1, 4))
+    check_grads(lambda: scalarize(ad.matmul(single, w), Rng(30)), [single, w])
+    four_d = p64(rng, (2, 3, 2, 4))
+    check_grads(lambda: scalarize(ad.matmul(four_d, w), Rng(31)), [four_d, w])
+    x = p64(rng, (3, 2, 4))
+    check_grads(lambda: scalarize(ad.matmul(ad.transpose(x, (1, 0, 2)), w), Rng(32)), [x, w])
+    check_grads(lambda: ad.tsum(ad.matmul(x, w)), [x, w])  # upstream gradient is a broadcast view
+
+
+@pytest.mark.parametrize("length", [10, 11, 16, 24])
+@pytest.mark.parametrize("d", [64, 128])
+def test_folded_matmul_backward_equals_batched_backward(length, d):
+    rng = Rng(119)
+    a = p64(rng, (256, length, d))
+    w = p64(rng, (d, 64))
+    upstream = np.asarray(rng.normal((256, length, 64)), dtype=F64)
+    ad.tsum(ad.matmul(a, w) * ad.constant(upstream, F64)).backward()
+    np.testing.assert_allclose(a.grad, np.matmul(upstream, w.data.T), rtol=0, atol=1e-10)
+    batched_gw = np.matmul(np.swapaxes(a.data, -1, -2), upstream).sum(axis=0)
+    np.testing.assert_allclose(w.grad, batched_gw, rtol=0, atol=1e-10)
+
+
 def test_grad_elementwise_ops():
     rng = Rng(101)
     a = p64(rng, (3, 4))
@@ -452,6 +478,24 @@ def test_grad_gather_rows_of_3d_parent_with_repeated_rows():
     table = p64(rng, (5, 3, 4))
     idx = np.array([[0, 2, 2], [4, 0, 0]])
     check_grads(lambda: scalarize(ad.gather_rows(table, idx), Rng(26)), [table])
+
+
+@pytest.mark.parametrize("shape,n_ids", [((40, 64), 3072), ((5, 3, 4), 50), ((7, 2), 7)])
+@pytest.mark.parametrize("existing", [False, True])
+def test_gather_rows_repeated_ids_backward_equals_add_at(shape, n_ids, existing):
+    rng = Rng(120)
+    table = p64(rng, shape)
+    ids = np.asarray(Rng(121).normal((n_ids,)) * 1e3, dtype=np.int64) % shape[0]
+    ids[-1] = ids[0]  # at least one repeat
+    upstream = np.asarray(rng.normal((n_ids,) + shape[1:]), dtype=F64)
+    loss = ad.tsum(ad.gather_rows(table, ids) * ad.constant(upstream, F64))
+    expected = np.zeros(shape)
+    if existing:  # the scatter then adds into a gradient that is already there
+        loss = loss + ad.tsum(table)
+        expected += 1.0
+    loss.backward()
+    np.add.at(expected, ids, upstream)
+    np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-10)
 
 
 def test_grad_slices_add_into_an_existing_gradient():
