@@ -7,6 +7,10 @@ scalar runs the tape once in reverse topological order, accumulating
 gradients additively at fan-out. Inside ``no_grad()`` no graph is
 recorded, for forwards whose graph nothing reads.
 
+Ownership rule: no gradient array is ever written in place. A closure
+hands its parent any array, a view of the upstream gradient included,
+and ``_accumulate`` keeps it uncopied or sums it into a new array.
+
 Reductions accumulate in 64-bit regardless of the storage dtype.
 Softmax subtracts the row max before exponentiation; log clamps its
 argument at 1e-12.
@@ -84,45 +88,25 @@ class Tensor:
 
     # -- graph ----------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` into the gradient.
-
-        A first gradient is copied unless ``fresh`` is True, in which case
-        ``g`` itself becomes the gradient. A closure passes ``fresh=True``
-        only for an array it built itself and holds nowhere else (a product,
-        a GEMM result, a reduction): ``_grad_buffer`` later adds into
-        ``self.grad`` in place, which would change any other holder of it.
-        A view of the upstream gradient (add, reshape, transpose, concat,
-        broadcast) is never fresh.
-        """
-        if self.grad is None:
-            if fresh and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
-
-    def _grad_buffer(self) -> np.ndarray:
-        """The gradient, allocated as zeros on first use, for backward
-        closures that add into a part of it in place."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` into the gradient; a first ``g`` becomes it, uncopied
+        (it may be a view, shared or read-only: no gradient is written in place)."""
+        g = g.astype(self.data.dtype, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Reverse pass from a scalar; leaf grads accumulate across calls."""
+        """Reverse pass from a scalar; leaf grads accumulate across calls.
+
+        An interior node's gradient is dropped as soon as its closure has
+        run: every consumer of the node comes before it in reverse order."""
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        for node in reversed(_topo_order(self)):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-        # interior grads are not part of the contract; keep leaves only
-        for node in order:
-            if node._backward_fn is not None and node is not self:
-                node.grad = None
+                if node is not self:
+                    node.grad = None
 
     # -- operator sugar ---------------------------------------------------
 
@@ -252,7 +236,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if _needs_grad(a):
             a._accumulate(_unbroadcast(g, a.shape))
         if _needs_grad(b):
-            b._accumulate(_unbroadcast(-g, b.shape), fresh=True)
+            b._accumulate(_unbroadcast(-g, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "sub")
 
@@ -262,9 +246,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if _needs_grad(a):
-            a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
         if _needs_grad(b):
-            b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "mul")
 
@@ -274,9 +258,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if _needs_grad(a):
-            a._accumulate(_unbroadcast(g / b.data, a.shape), fresh=True)
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
         if _needs_grad(b):
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out_data, (a, b), backward_fn, "div")
 
@@ -285,7 +269,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def backward_fn(g):
-        a._accumulate(g * (a.data > 0), fresh=True)
+        a._accumulate(g * (a.data > 0))
 
     return _make(out_data, (a,), backward_fn, "relu")
 
@@ -294,7 +278,7 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward_fn(g):
-        a._accumulate(g * out_data, fresh=True)
+        a._accumulate(g * out_data)
 
     return _make(out_data, (a,), backward_fn, "exp")
 
@@ -305,7 +289,7 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(clamped)
 
     def backward_fn(g):
-        a._accumulate(g / clamped, fresh=True)
+        a._accumulate(g / clamped)
 
     return _make(out_data, (a,), backward_fn, "log")
 
@@ -373,7 +357,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     out_data = a.data[idx].copy()
 
     def backward_fn(g):
-        a._grad_buffer()[idx] += g
+        ga = np.zeros_like(a.data)
+        ga[idx] = g
+        a._accumulate(ga)
 
     return _make(out_data, (a,), backward_fn, "narrow")
 
@@ -381,21 +367,25 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis 0 (embedding lookup); scatter-add backward."""
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[0]):
+        raise DimensionError(f"gather_rows ids must lie in [0, {a.shape[0]}), got {indices.min()}..{indices.max()}")
     out_data = a.data[indices]
 
     def backward_fn(g):
         rows = indices.reshape(-1)
         g_rows = g.reshape((-1,) + a.shape[1:])
+        ga = np.zeros_like(a.data)
         ordered = np.sort(rows)  # NumPy 2.4's np.unique hashes ints: ~60x slower at 2e5 rows
         new_id = ordered[1:] != ordered[:-1]
         if new_id.all():
-            a._grad_buffer()[rows] += g_rows  # far faster than np.add.at
+            ga[rows] = g_rows  # far faster than np.add.at
         else:
             # segment sum, far faster than np.add.at: group equal ids (stably,
-            # so each group keeps its rows' order), sum each group, add once
+            # so each group keeps its rows' order) and sum each group
             starts = np.flatnonzero(np.r_[True, new_id])
             grouped = g_rows[np.argsort(rows, kind="stable")]
-            a._grad_buffer()[ordered[starts]] += np.add.reduceat(grouped, starts, axis=0)
+            ga[ordered[starts]] = np.add.reduceat(grouped, starts, axis=0)
+        a._accumulate(ga)
 
     return _make(out_data, (a,), backward_fn, "gather_rows")
 
@@ -407,7 +397,9 @@ def take_last(a: Tensor, indices) -> Tensor:
     picked = (*np.indices(indices.shape, sparse=True), indices)  # one distinct entry per row
 
     def backward_fn(g):
-        a._grad_buffer()[picked] += g
+        ga = np.zeros_like(a.data)
+        ga[picked] = g
+        a._accumulate(ga)
 
     return _make(out_data, (a,), backward_fn, "take_last")
 
@@ -458,16 +450,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             d, k = b.shape
             g2 = g.reshape(-1, k)
             if _needs_grad(a):
-                a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
             if _needs_grad(b):
-                b._accumulate(a.data.reshape(-1, d).T @ g2, fresh=True)
+                b._accumulate(a.data.reshape(-1, d).T @ g2)
             return
         if _needs_grad(a):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
+            a._accumulate(_unbroadcast(ga, a.shape))
         if _needs_grad(b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
+            b._accumulate(_unbroadcast(gb, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
@@ -486,7 +478,7 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
 
     def backward_fn(g):
         inner = _sum64(g * out_data, axis=-1, keepdims=True)
-        x._accumulate((g - inner) * out_data / temperature, fresh=True)
+        x._accumulate((g - inner) * out_data / temperature)
 
     return _make(out_data.astype(x.dtype), (x,), backward_fn, "softmax_rows")
 
@@ -502,7 +494,7 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
 
     def backward_fn(g):
         inner = _sum64(g, axis=-1, keepdims=True)
-        x._accumulate((g - soft * inner) / temperature, fresh=True)
+        x._accumulate((g - soft * inner) / temperature)
 
     return _make(out_data, (x,), backward_fn, "log_softmax_rows")
 
@@ -523,12 +515,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2), fresh=True)
+            x._accumulate(inv * (dxhat - m1 - xhat * m2))
         lead = tuple(range(g.ndim - 1))
         if _needs_grad(gain):
-            gain._accumulate(_sum64(g * xhat, axis=lead), fresh=True)
+            gain._accumulate(_sum64(g * xhat, axis=lead))
         if _needs_grad(bias):
-            bias._accumulate(_sum64(g, axis=lead), fresh=True)
+            bias._accumulate(_sum64(g, axis=lead))
 
     return _make(out_data, (x, gain, bias), backward_fn, "layer_norm")
 
@@ -546,7 +538,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     def backward_fn(g):
         norm_safe = np.maximum(norm, L2_EPS)
         inner = _sum64(g * x.data, axis=-1, keepdims=True)
-        x._accumulate(g / denom - x.data * (inner / (norm_safe * denom * denom)), fresh=True)
+        x._accumulate(g / denom - x.data * (inner / (norm_safe * denom * denom)))
 
     return _make(out_data, (x,), backward_fn, "l2_normalize")
 
@@ -642,13 +634,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     def backward_fn(g):
         gmat = g.reshape(-1, o)
         if _needs_grad(w):
-            w._accumulate((gmat.T @ cols).reshape(w.shape), fresh=True)
+            w._accumulate((gmat.T @ cols).reshape(w.shape))
         if _needs_grad(b):
-            b._accumulate(_sum64(gmat, axis=0), fresh=True)
+            b._accumulate(_sum64(gmat, axis=0))
         if _needs_grad(x):
             # one GEMM per tap: [rows, O] @ [O, C] for each (i, j)
             gtaps = np.matmul(gmat, np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)))
-            x._accumulate(_col2im(gtaps, x.shape, ho, wo, stride, padding), fresh=True)
+            x._accumulate(_col2im(gtaps, x.shape, ho, wo, stride, padding))
 
     return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 

@@ -236,8 +236,10 @@ def evaluate_run(generations_path, out_dir) -> dict:
         refs.append(tokenize(rec["reference"]))
         if "labels_pred" in rec and "labels_gold" in rec:
             for key in ("labels_pred", "labels_gold"):
-                if not isinstance(rec[key], list) or len(rec[key]) != len(OBSERVATIONS):
-                    raise DataError(f"{where}: field '{key}' must be a list of {len(OBSERVATIONS)} labels")
+                labels = rec[key]
+                if (not isinstance(labels, list) or len(labels) != len(OBSERVATIONS)
+                        or any(v not in (0, 1) for v in labels)):
+                    raise DataError(f"{where}: field '{key}' must be a list of {len(OBSERVATIONS)} labels, each 0 or 1")
             has_labels = True
             labels_pred.append(rec["labels_pred"])
             labels_gold.append(rec["labels_gold"])

@@ -223,6 +223,20 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_allclose(x.grad, np.full(3, 3.0))
 
 
+def test_backward_keeps_only_root_and_leaf_gradients():
+    x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
+    h = ad.relu(x * 2.0)
+    loss = ad.tsum(ad.narrow(h, 0, 0, 2)) + ad.tsum(h * h)
+    loss.backward()
+    interior = [n for n in ad._topo_order(loss) if n._backward_fn is not None and n is not loss]
+    assert len(interior) == 6
+    assert all(n.grad is None for n in interior)
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [20.0, 0.0, 48.0])
+
+
 def test_fanout_gradient_accumulation():
     x = ad.parameter(np.array([2.0]), dtype=F64)
     y = x * x + x * 3.0
@@ -290,6 +304,13 @@ def test_gather_rows_and_scatter_add_backward():
     assert out.shape == (2, 2, 2)
     ad.tsum(out).backward()
     np.testing.assert_allclose(table.grad, [[1, 1], [2, 2], [0, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("ids", [[-1, 2], [0, 3], [[1], [-3]]])
+def test_gather_rows_rejects_ids_outside_the_table(ids):
+    table = ad.parameter(np.zeros((3, 2)), dtype=F64)
+    with pytest.raises(DimensionError, match=r"gather_rows ids must lie in \[0, 3\)"):
+        ad.gather_rows(table, np.array(ids))
 
 
 def test_take_last_selects_entries():
@@ -498,9 +519,9 @@ def test_gather_rows_repeated_ids_backward_equals_add_at(shape, n_ids, existing)
     np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-10)
 
 
-def test_grad_slices_add_into_an_existing_gradient():
-    # narrow, gather_rows and take_last add into the parent's gradient in
-    # place; fan-out makes each one find a gradient already there
+def test_grad_slice_gradients_sum_with_fan_out_gradients():
+    # narrow, gather_rows and take_last each give x a gradient that sums
+    # with the gradients of x's other consumers
     rng = Rng(116)
     x = p64(rng, (3, 4, 5))
 
@@ -522,9 +543,9 @@ def test_grad_slices_add_into_an_existing_gradient():
 
 @pytest.mark.parametrize("slice_op", ["narrow", "gather_rows"])
 @pytest.mark.parametrize("slice_term_first", [False, True])
-def test_shared_upstream_gradient_stays_separate_from_an_in_place_slice_gradient(slice_op, slice_term_first):
+def test_parents_of_add_get_independent_gradients(slice_op, slice_term_first):
     # add hands one upstream array to both parents; p then also takes a slice
-    # gradient added into its buffer in place, which must not reach q's
+    # gradient, which must not reach q's
     rng = Rng(117)
     p = p64(rng, (4, 3))
     q = p64(rng, (4, 3))

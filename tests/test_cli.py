@@ -176,9 +176,12 @@ def test_generations_line_that_is_not_an_object_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     {"labels_gold": [0] * 13},
+    {"labels_pred": ["x"] + [0] * 13},
+    {"labels_gold": [None] + [0] * 13},
+    {"labels_pred": [0] * 13 + [2]},
     {"green_counts": {"errors": [0] * 6}},
     {"green_counts": {"matched_findings": 1, "errors": [0, 0]}},
-], ids=["label_row_length", "green_without_matched", "green_errors_length"])
+], ids=["label_row_length", "label_string", "label_null", "label_two", "green_without_matched", "green_errors_length"])
 def test_wrong_typed_generations_field_is_data_error(tmp_path, capsys, bad):
     row = {"generated": "patchy opacity", "reference": "patchy opacity", "labels_pred": [0] * 14,
            "labels_gold": [0] * 14, "green_counts": {"matched_findings": 1, "errors": [0] * 6}}

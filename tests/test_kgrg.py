@@ -248,6 +248,26 @@ def test_tape_size_does_not_depend_on_batch_size():
     assert sizes[0] == sizes[1]
 
 
+def test_no_gradient_is_written_in_place(monkeypatch):
+    # every gradient is read-only once stored, so an in-place write into one
+    # anywhere in a Stage-1 or Stage-2 backward raises
+    stored = []
+    real_accumulate = ad.Tensor._accumulate
+
+    def accumulate_read_only(self, *args, **kwargs):
+        real_accumulate(self, *args, **kwargs)
+        if isinstance(self.grad, np.ndarray):  # a 0-d sum of two 0-d arrays is a NumPy scalar
+            self.grad.flags.writeable = False
+            stored.append(self.grad)
+
+    monkeypatch.setattr(ad.Tensor, "_accumulate", accumulate_read_only)
+    config, batch, vocab, params = _setup(view_counts=(1, 2, 3), indications=["male with cough", None, "fever"])
+    stage1_forward(batch, params, vocab, config)[0].backward()
+    lm_loss(batch, params, vocab, config).backward()
+    assert stored
+    assert all(params[name].grad is not None for name in ("stage1.vis.conv0.w", "stage2.dec.out.w"))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_finetune_step_aborts_on_non_finite():
     config, batch, vocab, params = _setup()
