@@ -16,8 +16,7 @@ class RunConfig:
 
     # model dims (desk scale)
     image_size: int = 32
-    d1: int = 64          # visual channels
-    d2: int = 64          # text feature width (must equal d1 for the bridge)
+    d1: int = 64          # visual channels and text feature width (they share the bridge space)
     d: int = 32           # shared projection width
     n_b: int = 4          # transition bridge tokens
     memory_rows: int = 8
@@ -61,7 +60,7 @@ class RunConfig:
             if type(value) is not expected and not (expected is float and type(value) is int):
                 raise UsageError(f"config field '{f.name}' must be of type {expected.__name__}, got {value!r}")
         positives = (
-            "image_size", "d1", "d2", "d", "n_b", "memory_rows", "bridge_blocks", "text_layers", "dec_layers",
+            "image_size", "d1", "d", "n_b", "memory_rows", "bridge_blocks", "text_layers", "dec_layers",
             "ffn_mult", "k_t", "tau1", "tau2", "batch_size", "lr_stage1", "lr_stage2_pretrained",
             "lr_stage2_fresh", "epochs", "max_tokens", "n_studies",
         )
@@ -71,8 +70,6 @@ class RunConfig:
         for name in ("max_steps", "weight_decay"):
             if getattr(self, name) < 0:
                 raise UsageError(f"config field '{name}' must not be negative, got {getattr(self, name)}")
-        if self.d1 != self.d2:
-            raise UsageError(f"d1 ({self.d1}) must equal d2 ({self.d2}) so visual and text tokens share the bridge space")
         if self.image_size % 8 != 0:
             raise UsageError(f"image_size must be a multiple of 8 (three stride-2 blocks), got {self.image_size}")
         for name in ("indication_rate", "split_train", "split_val", "split_test"):

@@ -53,21 +53,18 @@ class Study:
 class Batch:
     """A group of studies with derived counts.
 
-    B is the study count, M_imgs the total view count, and K the total
-    view count over multi-view studies only.
+    B is the study count and M_imgs the total view count.
     """
 
     studies: list
     B: int = field(init=False)
     M_imgs: int = field(init=False)
-    K: int = field(init=False)
 
     def __post_init__(self):
         if not self.studies:
             raise DataError("batch must contain at least one study")
         self.B = len(self.studies)
         self.M_imgs = sum(s.num_views for s in self.studies)
-        self.K = sum(s.num_views for s in self.studies if s.num_views > 1)
 
     def view_offsets(self) -> list[int]:
         """Start index of each study's views in the stacked [M_imgs, ...] order."""

@@ -28,7 +28,7 @@ class VisualFeatures:
 
 @dataclass
 class TextFeatures:
-    tokens: Tensor        # [B, L, d2]
+    tokens: Tensor        # [B, L, d1]
     pad_mask: np.ndarray  # [B, L] bool, True where the position is real
     ids: np.ndarray       # [B, L] int64
 
@@ -73,7 +73,7 @@ class ParamInit:
 def init_stage1_params(config: RunConfig, vocab_size: int, rng: Rng) -> dict:
     """Named stage-1 parameter tensors (conv encoder, text encoder, heads)."""
     init = ParamInit(rng)
-    d1, d2, d = config.d1, config.d2, config.d
+    d1, d = config.d1, config.d
     params = {}
     channels = conv_channels(config)
     for i in range(3):
@@ -81,18 +81,18 @@ def init_stage1_params(config: RunConfig, vocab_size: int, rng: Rng) -> dict:
         params[f"stage1.vis.conv{i}.w"] = init.normal((cout, cin, 3, 3), std=np.sqrt(2.0 / (cin * 9)))
         params[f"stage1.vis.conv{i}.b"] = init.zeros((cout,))
 
-    params["stage1.txt.embed"] = init.normal((vocab_size, d2), std=0.02)
-    params["stage1.txt.pos"] = init.normal((config.k_t, d2), std=0.02)
+    params["stage1.txt.embed"] = init.normal((vocab_size, d1), std=0.02)
+    params["stage1.txt.pos"] = init.normal((config.k_t, d1), std=0.02)
     for layer in range(config.text_layers):
         prefix = f"stage1.txt.l{layer}"
         for name in ("wq", "wk", "wv", "wo"):
-            params[f"{prefix}.{name}"] = init.normal((d2, d2), std=1.0 / np.sqrt(d2))
-        init.layer_norm(params, f"{prefix}.ln1", d2)
-        init.mlp(params, f"{prefix}.ffn", d2, config.ffn_mult * d2, d2)
-        init.layer_norm(params, f"{prefix}.ln2", d2)
+            params[f"{prefix}.{name}"] = init.normal((d1, d1), std=1.0 / np.sqrt(d1))
+        init.layer_norm(params, f"{prefix}.ln1", d1)
+        init.mlp(params, f"{prefix}.ffn", d1, config.ffn_mult * d1, d1)
+        init.layer_norm(params, f"{prefix}.ln2", d1)
 
-    for side, din in (("vis", d1), ("txt", d2)):
-        init.mlp(params, f"stage1.proj.{side}", din, din, d)
+    for side in ("vis", "txt"):
+        init.mlp(params, f"stage1.proj.{side}", d1, d1, d)
     init.layer_norm(params, "stage1.fuse.ln", d1)
     return params
 
@@ -142,7 +142,7 @@ def encode_text(token_lists, params: dict, vocab, config: RunConfig) -> TextFeat
     pad_mask = batch != PAD_ID
     x = ad.gather_rows(params["stage1.txt.embed"], batch)
     pos = ad.narrow(params["stage1.txt.pos"], 0, 0, max_len)
-    x = x + ad.reshape(pos, (1, max_len, config.d2))
+    x = x + ad.reshape(pos, (1, max_len, config.d1))
     for layer in range(config.text_layers):
         x = _encoder_layer(x, params, f"stage1.txt.l{layer}", pad_mask)
     return TextFeatures(tokens=x, pad_mask=pad_mask, ids=batch)

@@ -63,7 +63,7 @@ def split_param_groups(params: dict):
 
 
 def encode_indications(batch: Batch, params: dict, vocab, config: RunConfig) -> TextFeatures | None:
-    """Indication token features [B, L, d2], padded, or None when no study
+    """Indication token features [B, L, d1], padded, or None when no study
     has an indication.
 
     Indications run through the Stage-1 text encoder. ``pad_mask`` is True

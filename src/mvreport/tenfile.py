@@ -1,7 +1,8 @@
-"""Binary tensor file format "TEN1".
+"""Binary tensor format "TEN1".
 
 Layout: magic bytes ``TEN1``, u8 ndim, ndim x u32 little-endian dims,
-then the float32 little-endian payload in row-major order.
+then the float32 little-endian payload in row-major order. A ``.ten``
+file holds one such record, a checkpoint one per tensor.
 """
 
 from __future__ import annotations
@@ -17,15 +18,37 @@ from .errors import DataError
 MAGIC = b"TEN1"
 
 
-def write_tensor(path, array) -> None:
+def encode_tensor(array) -> bytes:
     arr = np.ascontiguousarray(np.asarray(array, dtype=np.float32))
     if arr.ndim > 255:
         raise DataError(f"TEN1 supports at most 255 dims, got {arr.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f4").tobytes())
+    return MAGIC + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.astype("<f4").tobytes()
+
+
+def decode_tensor(blob: bytes, offset: int, where) -> tuple[np.ndarray, int]:
+    """Decode the record at ``blob[offset:]``; returns it and the offset just past it."""
+    if blob[offset : offset + 4] != MAGIC:
+        raise DataError(f"bad TEN1 magic in {where}: {blob[offset : offset + 4]!r}")
+    if len(blob) < offset + 5:
+        raise DataError(f"truncated TEN1 header in {where}: no ndim byte")
+    ndim = blob[offset + 4]
+    start = offset + 5 + 4 * ndim
+    if len(blob) < start:
+        raise DataError(f"truncated TEN1 header in {where}: {ndim} dims need {start} bytes, got {len(blob)}")
+    dims = struct.unpack_from(f"<{ndim}I", blob, offset + 5)
+    count = math.prod(dims)  # Python ints: np.prod wraps at 2**64
+    end = start + 4 * count
+    if len(blob) < end:
+        raise DataError(f"TEN1 payload size mismatch in {where}: expected {end} bytes, got {len(blob)}")
+    data = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
+    try:
+        return data.reshape(dims).astype(np.float32), end
+    except ValueError as err:  # more than 64 dims, or zero dims beside ones too large for NumPy
+        raise DataError(f"TEN1 dims {dims} in {where} are not a valid array shape: {err}") from err
+
+
+def write_tensor(path, array) -> None:
+    Path(path).write_bytes(encode_tensor(array))
 
 
 def read_tensor(path) -> np.ndarray:
@@ -33,21 +56,7 @@ def read_tensor(path) -> np.ndarray:
     if not path.exists():
         raise DataError(f"tensor file not found: {path}")
     blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise DataError(f"bad TEN1 magic in {path}: {blob[:4]!r}")
-    if len(blob) < 5:
-        raise DataError(f"truncated TEN1 header in {path}: no ndim byte")
-    (ndim,) = struct.unpack_from("<B", blob, 4)
-    offset = 5 + 4 * ndim
-    if len(blob) < offset:
-        raise DataError(f"truncated TEN1 header in {path}: {ndim} dims need {offset} bytes, got {len(blob)}")
-    dims = struct.unpack_from(f"<{ndim}I", blob, 5)
-    count = math.prod(dims)  # Python ints: np.prod wraps at 2**64
-    expected = offset + 4 * count
-    if len(blob) != expected:
-        raise DataError(f"TEN1 payload size mismatch in {path}: expected {expected} bytes, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    try:
-        return data.reshape(dims).astype(np.float32)
-    except ValueError as err:  # more than 64 dims, or zero dims beside ones too large for NumPy
-        raise DataError(f"TEN1 dims {dims} in {path} are not a valid array shape: {err}") from err
+    arr, end = decode_tensor(blob, 0, path)
+    if end != len(blob):
+        raise DataError(f"TEN1 payload size mismatch in {path}: expected {end} bytes, got {len(blob)}")
+    return arr

@@ -38,8 +38,8 @@ def _load_split(config: RunConfig, name: str):
 
 def _vocab_from_meta(meta: dict) -> Vocabulary:
     tokens = meta.get("vocab")
-    if not tokens:
-        raise CheckpointError("checkpoint metadata has no vocabulary")
+    if not (isinstance(tokens, list) and tokens and all(isinstance(tok, str) for tok in tokens)):
+        raise CheckpointError(f"checkpoint metadata has no vocabulary (a list of strings), got {tokens!r:.80}")
     vocab = Vocabulary()
     for tok in tokens[len(vocab.id_to_token) :]:
         vocab.add(tok)

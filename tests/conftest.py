@@ -15,7 +15,6 @@ def tiny_config(**overrides):
         seed=0,
         image_size=8,
         d1=8,
-        d2=8,
         d=4,
         n_b=2,
         memory_rows=2,

@@ -269,12 +269,14 @@ def test_criterion_2_distribution_contracts(capsys):
                    for i, m in enumerate(counts)]
         batch = Batch(studies)
         ok &= batch.M_imgs == sum(counts)
-        ok &= batch.K == sum(m for m in counts if m > 1)
 
         v = np.asarray(rng.normal((batch.M_imgs, 6)), dtype=np.float32)
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
         dists = mpc_distributions(ad.constant(v), batch, tau1=0.5)
+        k = sum(m for m in counts if m > 1)  # the views of multi-view studies
+        ok &= (dists is None) == (k == 0)
         if dists is not None:
+            ok &= dists.p.shape[0] == k
             ok &= bool(np.allclose(dists.q.data.sum(axis=-1), 1.0, atol=1e-5))
             ok &= bool(np.allclose(dists.p.sum(axis=-1), 1.0, atol=1e-5))
             for row, (si, _) in zip(dists.p, dists.anchor_index_map):
@@ -397,7 +399,7 @@ def test_criterion_5_bridge_contract(capsys):
 
 
 def _overfit_config(seed):
-    return RunConfig(seed=seed, image_size=16, d1=32, d2=32, d=16, n_b=2,
+    return RunConfig(seed=seed, image_size=16, d1=32, d=16, n_b=2,
                      memory_rows=4, bridge_blocks=1, text_layers=1, dec_layers=1,
                      ffn_mult=2, k_t=16, max_tokens=24, batch_size=8,
                      tau1=0.1, tau2=0.1)
@@ -550,7 +552,7 @@ def _dir_digest(root):
 
 def test_criterion_9_determinism(capsys, tmp_path):
     config_fields = {
-        "seed": 31, "image_size": 8, "d1": 8, "d2": 8, "d": 4,
+        "seed": 31, "image_size": 8, "d1": 8, "d": 4,
         "n_b": 2, "memory_rows": 2, "bridge_blocks": 1,
         "text_layers": 1, "dec_layers": 1, "ffn_mult": 1,
         "k_t": 8, "max_tokens": 16, "batch_size": 3,

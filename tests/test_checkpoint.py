@@ -1,8 +1,10 @@
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvreport import autodiff as ad
 from mvreport.checkpoint import (
@@ -10,7 +12,7 @@ from mvreport.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from mvreport.errors import CheckpointError
+from mvreport.errors import CheckpointError, DataError
 from mvreport.rng import Rng
 
 
@@ -52,16 +54,76 @@ def test_save_load_save_is_byte_identical(tmp_path):
     meta = {"stage": "stage1", "seed": 3}
     save_checkpoint(tmp_path / "a", params, meta)
     loaded, _, loaded_meta = load_checkpoint(tmp_path / "a")
-    save_checkpoint(tmp_path / "b",
-                    loaded,
-                    {k: v for k, v in loaded_meta.items()
-                     if k not in ("param_names", "extra_names")})
+    assert loaded_meta == meta
+    save_checkpoint(tmp_path / "b", loaded, loaded_meta)
     assert _dir_digest(tmp_path / "a") == _dir_digest(tmp_path / "b")
 
 
 def test_load_missing_checkpoint(tmp_path):
-    with pytest.raises(CheckpointError, match="no checkpoint metadata"):
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
         load_checkpoint(tmp_path / "nothing")
+
+
+def test_old_directory_layout_is_refused(tmp_path):
+    (tmp_path / "tensors").mkdir()
+    (tmp_path / "meta.json").write_text('{"stage": "stage1", "param_names": []}')
+    with pytest.raises(CheckpointError, match="old layout"):
+        load_checkpoint(tmp_path)
+
+
+class _Unwritable:
+    """An array-like whose conversion fails, as a write that runs out of disk would."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("disk full")
+
+
+def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path):
+    first, second = _params(seed=0), _params(seed=1)
+    save_checkpoint(tmp_path, first, {"stage": "stage1", "step": 1})
+    # sorts between the two real tensors, so the save fails after writing one
+    second["stage1.txt.zz"] = SimpleNamespace(data=_Unwritable())
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(tmp_path, second, {"stage": "stage1", "step": 2})
+    loaded, _, meta = load_checkpoint(tmp_path)
+    assert meta == {"stage": "stage1", "step": 1}
+    assert set(loaded) == set(first)
+    for name in first:
+        np.testing.assert_array_equal(loaded[name].data, first[name].data)
+
+    del second["stage1.txt.zz"]
+    save_checkpoint(tmp_path, second, {"stage": "stage1", "step": 2})
+    assert [path.name for path in tmp_path.iterdir()] == ["checkpoint.ten"]
+    loaded, _, meta = load_checkpoint(tmp_path)
+    assert meta == {"stage": "stage1", "step": 2}
+    for name in second:
+        np.testing.assert_array_equal(loaded[name].data, second[name].data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_checkpoint_or_data_error(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    save_checkpoint(root / "good", _params(), {"stage": "stage1", "vocab": ["<pad>", "opacity"]},
+                    {"opt.m": np.ones((2, 3), dtype=np.float32)})
+    blob = (root / "good" / "checkpoint.ten").read_bytes()
+    kind = data.draw(st.sampled_from(["truncate", "append", "change"]))
+    if kind == "truncate":
+        damaged = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "append":
+        damaged = blob + data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        damaged = bytearray(blob)
+        for at, byte in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                                           min_size=1, max_size=4)):
+            damaged[at] = byte
+    (root / "bad").mkdir(exist_ok=True)
+    (root / "bad" / "checkpoint.ten").write_bytes(bytes(damaged))
+    try:
+        load_checkpoint(root / "bad")
+    except (CheckpointError, DataError):
+        return
+    assert kind == "change"  # a cut or an appended tail never loads
 
 
 def _shapes(params):

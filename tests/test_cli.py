@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ def _write_config(path, **over):
     config = {
         "seed": 11,
         "image_size": 8,
-        "d1": 8, "d2": 8, "d": 4,
+        "d1": 8, "d": 4,
         "n_b": 2, "memory_rows": 2, "bridge_blocks": 1,
         "text_layers": 1, "dec_layers": 1, "ffn_mult": 1,
         "k_t": 8, "max_tokens": 16,
@@ -296,3 +297,60 @@ def test_seed_override_changes_corpus(tmp_path):
     assert cli.main(["synth", "--config", str(cfg_b), "--seed", "99"]) == 0
     assert (tmp_path / "ca" / "train.jsonl").read_text() != \
            (tmp_path / "cb" / "train.jsonl").read_text()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A corpus plus the Stage-1 and Stage-2 checkpoints trained on it, under ``root/run``."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = _write_config(root / "c.json", data_dir=str(root / "corpus"), out_dir=str(root / "run"))
+    for argv in (["synth"], ["pretrain"], ["finetune", "--stage1-ckpt", str(root / "run" / "stage1_best")]):
+        assert cli.main(argv + ["--config", str(cfg)]) == 0
+    return root
+
+
+def _edit_header(ckpt_dir, edit):
+    """Replace the JSON header line of ``ckpt_dir``'s checkpoint with ``edit(header)``."""
+    path = ckpt_dir / "checkpoint.ten"
+    blob = path.read_bytes()
+    end = blob.index(b"\n")
+    path.write_bytes(edit(json.loads(blob[:end])).encode() + blob[end:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: json.dumps(h)[:-9], "malformed checkpoint header"),
+    (lambda h: json.dumps([h]), "malformed checkpoint header"),
+    (lambda h: "[" * 100_000, "malformed checkpoint header"),
+    (lambda h: json.dumps({**h, "vocab_hash": 5}), "incompatible checkpoint: vocab_hash: checkpoint=5..."),
+    (lambda h: json.dumps({**h, "param_names": [1]}), "malformed checkpoint header"),
+    (lambda h: json.dumps({**h, "vocab": [1, 2, 3, 4, 5]}), "checkpoint metadata has no vocabulary"),
+], ids=["garbled_json", "json_list", "nested_too_deep", "vocab_hash_int", "param_name_int", "vocab_ints"])
+def test_malformed_checkpoint_header_is_data_error(trained, tmp_path, capsys, edit, message):
+    ckpt = tmp_path / "stage1_best"
+    shutil.copytree(trained / "run" / "stage1_best", ckpt)
+    _edit_header(ckpt, edit)
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(trained / "corpus"), out_dir=str(tmp_path / "run"))
+    capsys.readouterr()
+    assert cli.main(["finetune", "--config", str(cfg), "--stage1-ckpt", str(ckpt)]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("layout", ["truncated", "old"])
+def test_generate_on_unreadable_checkpoint_is_data_error(trained, tmp_path, capsys, layout):
+    ckpt = tmp_path / "stage2_best"
+    if layout == "truncated":
+        shutil.copytree(trained / "run" / "stage2_best", ckpt)
+        path = ckpt / "checkpoint.ten"
+        path.write_bytes(path.read_bytes()[:-100])
+        message = "TEN1 payload size mismatch"
+    else:  # a directory checkpoint as written before the one-file layout
+        (ckpt / "tensors").mkdir(parents=True)
+        (ckpt / "meta.json").write_text(json.dumps({"stage": "stage2", "param_names": []}))
+        message = "holds the old layout (meta.json plus tensors/): re-run its stage"
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(trained / "corpus"), out_dir=str(tmp_path / "run"))
+    capsys.readouterr()
+    assert cli.main(["generate", "--config", str(cfg), "--ckpt", str(ckpt),
+                     "--manifest", str(trained / "corpus" / "test.jsonl")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run" / "generations.jsonl").exists()

@@ -46,7 +46,6 @@ def test_batch_counts():
     batch = Batch(studies)
     assert batch.B == 3
     assert batch.M_imgs == 6
-    assert batch.K == 5
     assert batch.view_offsets() == [0, 1, 3]
 
 
@@ -56,8 +55,9 @@ def test_batch_counts_match_brute_force(view_counts):
     rng = Rng(1)
     studies = [make_study(f"s{i}", m, rng, image_size=2) for i, m in enumerate(view_counts)]
     batch = Batch(studies)
+    assert batch.B == len(view_counts)
     assert batch.M_imgs == sum(view_counts)
-    assert batch.K == sum(m for m in view_counts if m > 1)
+    assert batch.view_offsets() == [sum(view_counts[:i]) for i in range(len(view_counts))]
 
 
 def test_load_manifest_roundtrip(tmp_path):

@@ -32,7 +32,7 @@ def setup():
 
 
 def test_conv_channels_scale_with_width():
-    assert conv_channels(tiny_config(d1=64, d2=64)) == [1, 16, 32, 64]
+    assert conv_channels(tiny_config(d1=64)) == [1, 16, 32, 64]
     assert conv_channels(tiny_config()) == [1, 2, 4, 8]
 
 

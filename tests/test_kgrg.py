@@ -76,7 +76,7 @@ def test_encode_indications_mixed_presence():
     feats = encode_indications(batch, params, vocab, config)
     assert not feats.pad_mask[1].any()
     assert feats.pad_mask.sum(axis=1).tolist() == [5, 0, 5]  # BOS + 3 tokens + EOS
-    assert feats.tokens.shape == (3, feats.pad_mask.shape[1], config.d2)
+    assert feats.tokens.shape == (3, feats.pad_mask.shape[1], config.d1)
 
 
 def test_encode_indications_all_absent():

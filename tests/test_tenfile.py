@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvreport.errors import DataError
-from mvreport.tenfile import read_tensor, write_tensor
+from mvreport.tenfile import decode_tensor, read_tensor, write_tensor
 
 
 def test_roundtrip(tmp_path):
@@ -77,12 +77,24 @@ _STRUCTURED = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(tail=st.one_of(st.binary(max_size=64), _STRUCTURED))
-def test_any_bytes_after_magic_read_as_float32_or_data_error(tmp_path_factory, tail):
+@given(tail=st.one_of(st.binary(max_size=64), _STRUCTURED), prefix=st.binary(min_size=1, max_size=8))
+def test_any_bytes_after_magic_read_as_float32_or_data_error(tmp_path_factory, tail, prefix):
     path = tmp_path_factory.getbasetemp() / "fuzz.ten"
     path.write_bytes(b"TEN1" + tail)
     try:
         arr = read_tensor(path)
     except DataError:
+        arr = None
+    else:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float32
+    # the same record decodes alike after other bytes, as it does inside a checkpoint
+    blob = prefix + b"TEN1" + tail
+    try:
+        decoded, end = decode_tensor(blob, len(prefix), "fuzz")
+    except DataError:
+        assert arr is None
         return
-    assert isinstance(arr, np.ndarray) and arr.dtype == np.float32
+    assert decoded.dtype == np.float32 and end <= len(blob)
+    assert (end == len(blob)) == (arr is not None)
+    if arr is not None:
+        np.testing.assert_array_equal(decoded, arr)

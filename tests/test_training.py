@@ -45,7 +45,7 @@ def _read_jsonl(path):
 def test_pretrain_run_writes_log_and_checkpoint(corpus_dir, tmp_path):
     config = _config(corpus_dir, tmp_path / "run")
     ckpt = pretrain_run(config)
-    assert (ckpt / "meta.json").exists()
+    assert (ckpt / "checkpoint.ten").exists()
     params, _, meta = load_checkpoint(ckpt)
     assert meta["stage"] == "stage1"
     assert meta["vocab"]
@@ -75,7 +75,7 @@ def test_finetune_requires_stage1_checkpoint(corpus_dir, tmp_path):
 def test_finetune_rejects_incompatible_checkpoint(corpus_dir, tmp_path):
     config = _config(corpus_dir, tmp_path / "s1")
     ckpt = pretrain_run(config)
-    bad = _config(corpus_dir, tmp_path / "s2", d1=16, d2=16)
+    bad = _config(corpus_dir, tmp_path / "s2", d1=16)
     with pytest.raises(CheckpointError, match="incompatible"):
         finetune_run(bad, stage1_ckpt=ckpt)
 
@@ -111,7 +111,7 @@ def test_finetune_cold_start_allowed(corpus_dir, tmp_path, caplog):
     config = _config(corpus_dir, tmp_path / "run", max_steps=1)
     with caplog.at_level("WARNING"):
         ckpt = finetune_run(config, allow_cold_start=True)
-    assert (ckpt / "meta.json").exists()
+    assert (ckpt / "checkpoint.ten").exists()
     assert any("cold start" in rec.getMessage() for rec in caplog.records)
 
 
