@@ -14,11 +14,16 @@ and ``_accumulate`` keeps it uncopied or sums it into a new array.
 Reductions accumulate in 64-bit regardless of the storage dtype.
 Softmax subtracts the row max before exponentiation; log clamps its
 argument at 1e-12.
+
+Importing this module changes how the whole process allocates memory
+(glibc only, see ``_retain_freed_memory``): every block up to 32 MiB
+comes from the heap, and freed heap pages stay in the process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import logging
 import math
 
@@ -34,6 +39,41 @@ L2_EPS = 1e-12
 LN_EPS = 1e-5
 # Additive score for a masked attention or logit position; exp() of it underflows to exactly 0.
 NEG_INF = -1e9
+
+# glibc mallopt parameters and the values _retain_freed_memory sets.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest accepted value on 64-bit
+TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def _retain_freed_memory() -> bool:
+    """Keep the 4-20 MB temporaries of a training step in the process.
+
+    By default glibc serves such blocks with mmap and unmaps them on free,
+    or trims freed heap top pages, so the kernel must zero and fault them
+    in again on the next step. Raising the mmap threshold to 32 MiB puts
+    them on the heap, and a 1 GiB trim threshold keeps freed heap pages
+    mapped: peak memory is unchanged, page faults per step fall from
+    about a thousand to under a hundred. This applies to every allocation
+    of the process. The trim threshold is set only after the mmap
+    threshold was accepted: either value set alone turns off glibc's
+    dynamic threshold, and the trim threshold alone faults more than the
+    default. Returns True when both values were accepted; without glibc's
+    ``mallopt`` it changes nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # no find_library: it starts an ldconfig process
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) != 1:
+        return False
+    return mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1
+
+
+HEAP_RETAINED = _retain_freed_memory()
 
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
@@ -504,17 +544,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = ((x.data.astype(np.float64) - mu) ** 2).mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is what ndarray.mean computes, without its Python-level wrapper
+    mu = np.add.reduce(x.data, axis=-1, dtype=np.float64, keepdims=True) / d
+    centered = x.data.astype(np.float64) - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = (1.0 / np.sqrt(var + LN_EPS)).astype(x.dtype)
-    xhat = ((x.data - mu.astype(x.dtype)) * inv).astype(x.dtype)
+    xhat = (x.data - mu.astype(x.dtype)) * inv
     out_data = xhat * gain.data + bias.data
 
     def backward_fn(g):
         if _needs_grad(x):
             dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+            m1 = (np.add.reduce(dxhat, axis=-1, dtype=np.float64, keepdims=True) / d).astype(x.dtype)
+            m2 = (np.add.reduce(dxhat * xhat, axis=-1, dtype=np.float64, keepdims=True) / d).astype(x.dtype)
             x._accumulate(inv * (dxhat - m1 - xhat * m2))
         lead = tuple(range(g.ndim - 1))
         if _needs_grad(gain):

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError) as err:
+    except (DataError, CheckpointError, OSError) as err:  # an OSError's message names its path
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericalAbort as err:

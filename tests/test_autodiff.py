@@ -94,6 +94,37 @@ def test_layer_norm_constant_row_zeros():
     np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
 
+def _layer_norm_with_ndarray_mean(x, gain, bias, g):
+    """layer_norm's output and its x, gain and bias gradients for upstream
+    ``g``, in the ndarray.mean formulas the engine used before np.add.reduce."""
+    mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
+    var = ((x.astype(np.float64) - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = (1.0 / np.sqrt(var + ad.LN_EPS)).astype(x.dtype)
+    xhat = ((x - mu.astype(x.dtype)) * inv).astype(x.dtype)
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    lead = tuple(range(g.ndim - 1))
+    return (xhat * gain + bias, inv * (dxhat - m1 - xhat * m2),
+            (g * xhat).sum(axis=lead, dtype=np.float64).astype(x.dtype),
+            g.sum(axis=lead, dtype=np.float64).astype(x.dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 64), (256, 11, 64), (7, 3, 5, 64), (4, 33), (3, 1)])
+def test_layer_norm_bitwise_equals_ndarray_mean_formulas(shape, dtype):
+    rng = Rng(15)
+    x, g = (np.asarray(rng.normal(shape, std=2.0), dtype=dtype) for _ in range(2))
+    gain = np.asarray(rng.normal(shape[-1:]), dtype=dtype)
+    bias = np.asarray(rng.normal(shape[-1:]), dtype=dtype)
+    xt, gt, bt = (ad.parameter(a, dtype=dtype) for a in (x, gain, bias))
+    out = ad.layer_norm(xt, gt, bt)
+    ad.tsum(out * ad.constant(g, dtype=dtype)).backward()
+    for got, want in zip((out.data, xt.grad, gt.grad, bt.grad), _layer_norm_with_ndarray_mean(x, gain, bias, g)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_layer_norm_shape_error():
     with pytest.raises(DimensionError):
         ad.layer_norm(ad.constant(np.zeros((2, 4))), ad.constant(np.ones(3)), ad.constant(np.zeros(3)))

@@ -354,3 +354,23 @@ def test_generate_on_unreadable_checkpoint_is_data_error(trained, tmp_path, caps
                      "--manifest", str(trained / "corpus" / "test.jsonl")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run" / "generations.jsonl").exists()
+
+
+def test_synth_into_a_directory_under_a_file_is_data_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(blocker / "corpus"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(blocker) in err
+
+
+def test_pretrain_out_under_a_file_is_data_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(tmp_path / "corpus"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg), "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(blocker) in err
