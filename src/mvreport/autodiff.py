@@ -622,7 +622,7 @@ def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """[N, H, W, C] -> columns [N*Ho*Wo, C*kh*kw] in (c, kh, kw) order."""
+    """[N, H, W, C] -> columns [N*Ho*Wo, kh*kw*C] in (kh, kw, c) order."""
     n, h, w, c = x.shape
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)  # np.pad is slower
     xp[:, pad : pad + h, pad : pad + w] = x
@@ -631,11 +631,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, ho, wo, c, kh, kw),
-        strides=(s0, s1 * stride, s2 * stride, s3, s1, s2),
+        shape=(n, ho, wo, kh, kw, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False,
     )
-    return view.reshape(n * ho * wo, c * kh * kw), ho, wo
+    return view.reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
 def _col2im(gtaps: np.ndarray, x_shape, ho: int, wo: int, stride: int, pad: int):
@@ -668,15 +668,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise DimensionError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
     if x.shape[3] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
-    o, _, kh, kw = w.shape
+    o, c, kh, kw = w.shape
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wmat = w.data.reshape(o, -1)
-    out = cols @ wmat.T + b.data
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(o, -1)  # (kh, kw, c) order, as the columns
+    out = cols @ wmat.T
+    out += b.data
 
     def backward_fn(g):
         gmat = g.reshape(-1, o)
         if _needs_grad(w):
-            w._accumulate((gmat.T @ cols).reshape(w.shape))
+            gw = (gmat.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+            w._accumulate(np.ascontiguousarray(gw))
         if _needs_grad(b):
             b._accumulate(_sum64(gmat, axis=0))
         if _needs_grad(x):
