@@ -40,40 +40,32 @@ LN_EPS = 1e-5
 # Additive score for a masked attention or logit position; exp() of it underflows to exactly 0.
 NEG_INF = -1e9
 
-# glibc mallopt parameters and the values _retain_freed_memory sets.
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest accepted value on 64-bit
-TRIM_THRESHOLD_BYTES = 1 << 30
 
-
-def _retain_freed_memory() -> bool:
+def _retain_freed_memory() -> None:
     """Keep the 4-20 MB temporaries of a training step in the process.
 
     By default glibc serves such blocks with mmap and unmaps them on free,
-    or trims freed heap top pages, so the kernel must zero and fault them
-    in again on the next step. Raising the mmap threshold to 32 MiB puts
-    them on the heap, and a 1 GiB trim threshold keeps freed heap pages
-    mapped: peak memory is unchanged, page faults per step fall from
-    about a thousand to under a hundred. This applies to every allocation
-    of the process. The trim threshold is set only after the mmap
+    or returns freed pages at the heap top to the kernel, which must zero
+    and fault them in again at the next step. An mmap threshold of 32 MiB
+    puts them on the heap, and a trim threshold of 1 GiB keeps freed heap
+    pages mapped. This applies to every allocation of the process; peak
+    memory does not change. The trim threshold is set only once the mmap
     threshold was accepted: either value set alone turns off glibc's
     dynamic threshold, and the trim threshold alone faults more than the
-    default. Returns True when both values were accepted; without glibc's
-    ``mallopt`` it changes nothing and returns False.
+    default. Without glibc's ``mallopt`` nothing changes.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt  # no find_library: it starts an ldconfig process
+        mallopt = ctypes.CDLL(None).mallopt  # not find_library, which starts an ldconfig process
     except (AttributeError, OSError, TypeError):
-        return False
+        return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) != 1:
-        return False
-    return mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    if mallopt(m_mmap_threshold, 32 << 20) == 1:  # 32 MiB is the largest value glibc accepts on 64-bit
+        mallopt(m_trim_threshold, 1 << 30)
 
 
-HEAP_RETAINED = _retain_freed_memory()
+_retain_freed_memory()
 
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
