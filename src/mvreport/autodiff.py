@@ -49,7 +49,7 @@ def _retain_freed_memory() -> None:
     and fault them in again at the next step. An mmap threshold of 32 MiB
     puts them on the heap, and a trim threshold of 1 GiB keeps freed heap
     pages mapped. This applies to every allocation of the process; peak
-    memory does not change. The trim threshold is set only once the mmap
+    memory grows by a few percent at most. The trim threshold is set only once the mmap
     threshold was accepted: either value set alone turns off glibc's
     dynamic threshold, and the trim threshold alone faults more than the
     default. Without glibc's ``mallopt`` nothing changes.

@@ -104,9 +104,9 @@ def faults_per_step(batch_size: int = 16, warmup: int = 3, steps: int = 8) -> fl
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
 
 
-# About 72 faults per step at B=16 with freed heap pages kept in the
-# process, about 1 250 without: the bound leaves a margin of 3x or more
-# on both sides.
+# Measured at B=16: 0-84 faults per step with freed heap pages kept in
+# the process, 1 190-1 440 without. The bound leaves a margin of 3x or
+# more on both sides.
 FAULTS_PER_STEP_BOUND = 300
 
 
