@@ -12,8 +12,8 @@ hands its parent any array, a view of the upstream gradient included,
 and ``_accumulate`` keeps it uncopied or sums it into a new array.
 
 Reductions accumulate in 64-bit regardless of the storage dtype.
-Softmax subtracts the row max before exponentiation; log clamps its
-argument at 1e-12.
+Softmax sets masked logits to NEG_INF and subtracts the row max before
+exponentiation; log clamps its argument at 1e-12.
 
 Importing this module changes how the whole process allocates memory
 (glibc only, see ``_retain_freed_memory``): every block up to 32 MiB
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import logging
 import math
 
@@ -37,7 +38,7 @@ DEFAULT_DTYPE = np.float32
 LOG_CLAMP = 1e-12
 L2_EPS = 1e-12
 LN_EPS = 1e-5
-# Additive score for a masked attention or logit position; exp() of it underflows to exactly 0.
+# The logit softmax_rows and log_softmax_rows give a masked entry; exp() of it underflows to exactly 0.
 NEG_INF = -1e9
 
 
@@ -341,7 +342,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     out_data = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))  # np.argsort is slower on a tuple
 
     def backward_fn(g):
         a._accumulate(g.transpose(inverse))
@@ -369,11 +370,10 @@ def swap_last2(a: Tensor) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def backward_fn(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, start, stop in zip(tensors, offsets, offsets[1:]):
             if _needs_grad(t):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(start, stop)
@@ -443,23 +443,15 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = _sum64(a.data, axis=axis, keepdims=keepdims)
 
     def backward_fn(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape))
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge, a.shape))
+        a._accumulate(np.broadcast_to(g if axis is None or keepdims else np.expand_dims(g, axis), a.shape))
 
     return _make(out_data, (a,), backward_fn, "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _lift(1.0 / n, a.dtype))
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    # the correctly rounded 1 / n, as 1.0 / n is, for n summed entries per output
+    return mul(total, _lift(total.data.size / a.data.size, a.dtype))
 
 
 # -- matmul -------------------------------------------------------------------
@@ -499,13 +491,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- normalizations and fused ops ---------------------------------------------
 
 
-def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row softmax over the last axis of logits divided by ``temperature``."""
+def _shifted_logits(x: Tensor, temperature: float, key_mask) -> np.ndarray:
+    """``x / temperature`` with masked entries set to ``NEG_INF``, minus the row max."""
     if temperature <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {temperature}")
     z = x.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask)
+        if key_mask.dtype != bool:
+            raise ParameterError(f"key_mask must be boolean, got dtype {key_mask.dtype}")
+        z = np.where(key_mask, z, NEG_INF)
+    return z - z.max(axis=-1, keepdims=True)
+
+
+def softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | None = None) -> Tensor:
+    """Row softmax over the last axis of logits divided by ``temperature``; where the boolean
+    ``key_mask`` (broadcastable to ``x``) is False, the weight is exactly 0 if the row has a True entry."""
+    e = np.exp(_shifted_logits(x, temperature, key_mask))
     out_data = e / _sum64(e, axis=-1, keepdims=True)
 
     def backward_fn(g):
@@ -515,11 +517,9 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     return _make(out_data.astype(x.dtype), (x,), backward_fn, "softmax_rows")
 
 
-def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
-    if temperature <= 0:
-        raise ParameterError(f"softmax temperature must be positive, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+def log_softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | None = None) -> Tensor:
+    """Row log-softmax, as ``softmax_rows``; outputs at masked entries are very negative, not meaningful."""
+    z = _shifted_logits(x, temperature, key_mask)
     lse = np.log(_sum64(np.exp(z), axis=-1, keepdims=True))
     out_data = (z - lse).astype(x.dtype)
     soft = np.exp(out_data)
@@ -581,9 +581,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray |
     """softmax(q @ k^T / sqrt(d)) @ v over the last two axes.
 
     ``key_mask`` is a boolean array broadcastable to the score shape
-    [..., Lq, Lk]: True where a query may attend to a key. Masked scores
-    get ``NEG_INF``, so their softmax weight is exactly 0; every query
-    needs at least one attendable key.
+    [..., Lq, Lk]: True where a query may attend to a key. ``softmax_rows``
+    applies it, so masked keys get weight exactly 0; every query needs at
+    least one attendable key.
     """
     if k.shape[-2] == 0:
         raise EmptyKeyError("scaled_dot_attention called with zero keys")
@@ -593,12 +593,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray |
     if v.shape[-2] != k.shape[-2]:
         raise DimensionError(f"keys/values length mismatch: k {k.shape}, v {v.shape}")
     scores = matmul(q, swap_last2(k)) * (1.0 / math.sqrt(d))
-    if key_mask is not None:
-        if np.asarray(key_mask).dtype != bool:
-            raise ParameterError(f"key_mask must be boolean, got dtype {np.asarray(key_mask).dtype}")
-        scores = scores + constant(np.where(key_mask, 0.0, NEG_INF), dtype=q.dtype)
-    weights = softmax_rows(scores)
-    return matmul(weights, v)
+    return matmul(softmax_rows(scores, key_mask=key_mask), v)
 
 
 def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:

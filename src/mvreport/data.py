@@ -51,28 +51,26 @@ class Study:
 
 @dataclass
 class Batch:
-    """A group of studies with derived counts.
+    """A group of studies and the layout of their stacked views.
 
-    B is the study count and M_imgs the total view count.
+    B is the study count and M_imgs the total view count. Study i's views
+    are rows ``view_offsets[i] : view_offsets[i] + view_counts[i]`` of the
+    stacked [M_imgs, ...] order (int64 arrays of length B).
     """
 
     studies: list
     B: int = field(init=False)
     M_imgs: int = field(init=False)
+    view_counts: np.ndarray = field(init=False, compare=False)
+    view_offsets: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.studies:
             raise DataError("batch must contain at least one study")
         self.B = len(self.studies)
-        self.M_imgs = sum(s.num_views for s in self.studies)
-
-    def view_offsets(self) -> list[int]:
-        """Start index of each study's views in the stacked [M_imgs, ...] order."""
-        offsets, acc = [], 0
-        for s in self.studies:
-            offsets.append(acc)
-            acc += s.num_views
-        return offsets
+        self.view_counts = np.asarray([s.num_views for s in self.studies], dtype=np.int64)
+        self.view_offsets = np.cumsum(self.view_counts) - self.view_counts
+        self.M_imgs = int(self.view_counts.sum())
 
 
 def read_jsonl(path):
@@ -93,6 +91,25 @@ def read_jsonl(path):
             yield where, record
 
 
+_REQUIRED = object()
+
+
+def read_field(record: dict, key: str, where: str, valid, description: str, default=_REQUIRED):
+    """``record[key]``, or ``default`` when the key is absent; ``DataError`` at ``where`` when a key without
+    a default is absent or ``valid(value)`` is false (``description`` completes "must be ...")."""
+    if key not in record:
+        if default is _REQUIRED:
+            raise DataError(f"{where}: missing required field '{key}'")
+        return default
+    if not valid(record[key]):
+        raise DataError(f"{where}: field '{key}' must be {description}, got {record[key]!r:.80}")
+    return record[key]
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_manifest(path) -> list[Study]:
     """Read a JSONL manifest; each line describes one study.
 
@@ -109,38 +126,33 @@ def load_manifest(path) -> list[Study]:
 
 
 def _study_from_record(record: dict, base: Path, where: str) -> Study | None:
-    for key in ("study_id", "views", "report"):
-        if key not in record:
-            raise DataError(f"{where}: missing required field '{key}'")
-    if not isinstance(record["report"], str):
-        raise DataError(f"{where}: field 'report' must be a string, got {record['report']!r}")
-    report = record["report"].strip()
+    study_id = read_field(record, "study_id", where, lambda v: isinstance(v, str) or type(v) is int,
+                          "a string or an integer")
+    view_paths = read_field(record, "views", where, lambda v: _is_str_list(v) and v, "a non-empty list of paths")
+    report = read_field(record, "report", where, lambda v: isinstance(v, str), "a string").strip()
+    anchor_index = read_field(record, "anchor_index", where, lambda v: type(v) is int and 0 <= v < len(view_paths),
+                              f"a view index below {len(view_paths)}", default=0)
+    indication = read_field(record, "indication", where, lambda v: v is None or isinstance(v, str),
+                            "a string or null", default=None)
+    serialization = read_field(record, "factual_serialization", where, lambda v: v is None or _is_str_list(v),
+                               "a list of token strings or null", default=None)
     normalized = " ".join(report.lower().split())
     if not normalized or normalized.rstrip(".") in {b.rstrip(".") for b in DEFAULT_REPORT_BLACKLIST}:
-        log.warning("%s: skipping study %s with empty or insignificant report", where, record["study_id"])
+        log.warning("%s: skipping study %s with empty or insignificant report", where, study_id)
         return None
-    view_paths = record["views"]
-    if not isinstance(view_paths, list) or not view_paths or not all(isinstance(v, str) for v in view_paths):
-        raise DataError(f"{where}: field 'views' must be a non-empty list of paths, got {view_paths!r}")
     views = []
     for rel in view_paths:
         full = base / rel
         if not full.exists():
             raise DataError(f"{where}: view file not found: {full}")
         views.append(read_tensor(full))
-    anchor_index = record.get("anchor_index", 0)
-    if type(anchor_index) is not int or not 0 <= anchor_index < len(views):
-        raise DataError(f"{where}: field 'anchor_index' must be a view index below {len(views)}, got {anchor_index!r}")
-    serialization = record.get("factual_serialization")
-    if not serialization:
-        serialization = fallback_serialize(report)
     return Study(
-        study_id=str(record["study_id"]),
+        study_id=str(study_id),
         views=views,
         anchor_index=anchor_index,
-        indication=clean_indication(record.get("indication")),
+        indication=clean_indication(indication),
         report=report,
-        factual_serialization=list(serialization),
+        factual_serialization=list(serialization or fallback_serialize(report)),
     )
 
 

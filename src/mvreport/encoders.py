@@ -12,7 +12,7 @@ from .autodiff import Tensor
 from .config import RunConfig
 from .errors import DataError
 from .rng import Rng
-from .text import BOS_ID, EOS_ID, PAD_ID
+from .text import PAD_ID, pad_ids
 
 
 def conv_channels(config: RunConfig) -> list:
@@ -134,11 +134,8 @@ def encode_text(token_lists, params: dict, vocab, config: RunConfig) -> TextFeat
     Sequences are BOS/EOS-wrapped and truncated to k_t; an empty token
     list yields a valid BOS/EOS-only row.
     """
-    encoded = [vocab.encode(toks, add_bos_eos=True, max_len=config.k_t) for toks in token_lists]
-    max_len = max(len(ids) for ids in encoded)
-    batch = np.full((len(encoded), max_len), PAD_ID, dtype=np.int64)
-    for i, ids in enumerate(encoded):
-        batch[i, : len(ids)] = ids
+    batch = pad_ids([vocab.encode(toks, add_bos_eos=True, max_len=config.k_t) for toks in token_lists])
+    max_len = batch.shape[1]
     pad_mask = batch != PAD_ID
     x = ad.gather_rows(params["stage1.txt.embed"], batch)
     pos = ad.narrow(params["stage1.txt.pos"], 0, 0, max_len)

@@ -15,7 +15,7 @@ from .encoders import ParamInit, TextFeatures, _mlp, encode_text, encode_views
 from .errors import DimensionError, NumericalAbort
 from .mvcl import multi_view_fuse
 from .rng import Rng
-from .text import BOS_ID, EOS_ID, PAD_ID, tokenize
+from .text import BOS_ID, EOS_ID, PAD_ID, pad_ids, tokenize
 
 
 @dataclass
@@ -209,17 +209,10 @@ def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, con
 def report_target_ids(batch: Batch, vocab, config: RunConfig):
     """Teacher-forcing inputs/targets/mask for the batch's reports."""
     sequences = [vocab.encode(tokenize(s.report), max_len=config.max_tokens - 1) for s in batch.studies]
-    max_len = max(len(seq) for seq in sequences) + 1  # room for EOS/BOS shift
-    inputs = np.full((batch.B, max_len), PAD_ID, dtype=np.int64)
-    targets = np.full((batch.B, max_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((batch.B, max_len), dtype=np.float32)
-    for i, seq in enumerate(sequences):
-        inputs[i, 0] = BOS_ID
-        inputs[i, 1 : 1 + len(seq)] = seq
-        targets[i, : len(seq)] = seq
-        targets[i, len(seq)] = EOS_ID
-        mask[i, : len(seq) + 1] = 1.0
-    return inputs, targets, mask
+    inputs = pad_ids([[BOS_ID, *seq] for seq in sequences])
+    targets = pad_ids([[*seq, EOS_ID] for seq in sequences])
+    # no report token is PAD_ID: tokenize never yields "<pad>"
+    return inputs, targets, (targets != PAD_ID).astype(np.float32)
 
 
 def lm_loss_from_ids(inputs, targets, mask, knowledge: Tensor, params: dict, config: RunConfig) -> Tensor:

@@ -42,10 +42,9 @@ def mpc_distributions(v_globals: Tensor, batch: Batch, tau1: float) -> MpcDistri
     """
     if tau1 <= 0:
         raise ParameterError(f"tau1 must be positive, got {tau1}")
-    counts = np.asarray([study.num_views for study in batch.studies])
-    study_of_view = np.repeat(np.arange(batch.B), counts)
-    view_in_study = np.arange(len(study_of_view)) - np.repeat(np.cumsum(counts) - counts, counts)
-    keep_rows = np.flatnonzero(counts[study_of_view] > 1)
+    study_of_view = np.repeat(np.arange(batch.B), batch.view_counts)
+    view_in_study = np.arange(batch.M_imgs) - batch.view_offsets[study_of_view]
+    keep_rows = np.flatnonzero(batch.view_counts[study_of_view] > 1)
     k = len(keep_rows)
     if k < 2:
         return None
@@ -84,8 +83,7 @@ def multi_view_fuse(vis: VisualFeatures, batch: Batch, params: dict) -> Tensor:
     padded to the largest count A under a [B_multi, A] key mask.
     """
     gain, bias = params["stage1.fuse.ln.g"], params["stage1.fuse.ln.b"]
-    offsets = np.asarray(batch.view_offsets())
-    counts = np.asarray([study.num_views for study in batch.studies])
+    offsets, counts = batch.view_offsets, batch.view_counts
     anchors = np.asarray([study.anchor_index for study in batch.studies])
     rows = offsets + anchors  # the anchor view's row of each study
     multi = np.flatnonzero(counts > 1)
@@ -157,8 +155,7 @@ def token_alignment_loss(pp: ProjectedPair, tau2: float) -> Tensor:
     t_norm = ad.l2_normalize(pp.txt)
     c_norm = ad.l2_normalize(contexts)
     logits = ad.matmul(t_norm, ad.swap_last2(c_norm))  # [B, L, L]
-    pad_keys = ad.constant(np.where(pp.txt_mask[:, None, :], 0.0, ad.NEG_INF), dtype=logits.dtype)
-    logp = ad.log_softmax_rows(logits + pad_keys, temperature=tau2)
+    logp = ad.log_softmax_rows(logits, temperature=tau2, key_mask=pp.txt_mask[:, None, :])
     diag = ad.take_last(logp, np.broadcast_to(np.arange(length), (b, length)))  # [B, L]
     nll = -ad.tsum(diag * ad.constant(weights, dtype=diag.dtype))
     return nll * (1.0 / float(total_tokens))

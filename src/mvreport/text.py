@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 import re
 
+import numpy as np
+
 PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
@@ -24,6 +26,14 @@ NEGATION_PREFIXES = ("no ", "not ", "without ", "negative for ", "free of ")
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens; punctuation splits except word-internal hyphens."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def pad_ids(sequences: list) -> np.ndarray:
+    """A list of id sequences as one ``[n, longest]`` int64 array, right-padded with ``PAD_ID``."""
+    ids = np.full((len(sequences), max(map(len, sequences))), PAD_ID, dtype=np.int64)
+    for row, seq in zip(ids, sequences):
+        row[: len(seq)] = seq
+    return ids
 
 
 def clean_indication(raw: str | None) -> str | None:
@@ -67,10 +77,8 @@ class Vocabulary:
 
     def __init__(self, tokens=()):
         self.token_to_id: dict[str, int] = {}
-        self.id_to_token: list[str] = list(RESERVED)
-        for tok, idx in zip(RESERVED, range(len(RESERVED))):
-            self.token_to_id[tok] = idx
-        for tok in tokens:
+        self.id_to_token: list[str] = []
+        for tok in (*RESERVED, *tokens):
             self.add(tok)
 
     def add(self, token: str) -> int:
@@ -82,11 +90,7 @@ class Vocabulary:
     @classmethod
     def build(cls, token_sequences) -> "Vocabulary":
         """First-occurrence-ordered vocabulary over an iterable of token lists."""
-        vocab = cls()
-        for seq in token_sequences:
-            for tok in seq:
-                vocab.add(tok)
-        return vocab
+        return cls(tok for seq in token_sequences for tok in seq)
 
     def __len__(self) -> int:
         return len(self.id_to_token)

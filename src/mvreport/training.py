@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import check_compatibility, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import load_manifest, make_batches, read_jsonl
+from .data import load_manifest, make_batches, read_field, read_jsonl
 from .encoders import init_stage1_params
 from .errors import CheckpointError, DataError
 from .kgrg import finetune_step, generate_batch, init_stage2_params, lm_loss, split_param_groups
@@ -23,7 +23,7 @@ from .mvcl import pretrain_step, stage1_forward
 from .optim import AdamW
 from .rng import Rng, derive_seed
 from .synthetic import build_vocabulary
-from .text import Vocabulary, tokenize
+from .text import RESERVED, Vocabulary, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +40,10 @@ def _vocab_from_meta(meta: dict) -> Vocabulary:
     tokens = meta.get("vocab")
     if not (isinstance(tokens, list) and tokens and all(isinstance(tok, str) for tok in tokens)):
         raise CheckpointError(f"checkpoint metadata has no vocabulary (a list of strings), got {tokens!r:.80}")
-    vocab = Vocabulary()
-    for tok in tokens[len(vocab.id_to_token) :]:
-        vocab.add(tok)
+    vocab = Vocabulary(tokens[len(RESERVED) :])
+    if vocab.id_to_token != tokens:
+        raise CheckpointError(f"checkpoint vocabulary does not round-trip: it must begin with {RESERVED} "
+                              "and hold no token twice")
     return vocab
 
 
@@ -227,22 +228,17 @@ def evaluate_run(generations_path, out_dir) -> dict:
     cands, refs = [], []
     labels_pred, labels_gold = [], []
     green_matched, green_errors = 0, np.zeros(6, dtype=np.int64)
-    has_labels = has_green = False
+    has_green = False
     for where, rec in read_jsonl(path):
-        for key in ("generated", "reference"):
-            if key not in rec:
-                raise DataError(f"{where}: missing field '{key}'")
-        cands.append(tokenize(rec["generated"]))
-        refs.append(tokenize(rec["reference"]))
-        if "labels_pred" in rec and "labels_gold" in rec:
-            for key in ("labels_pred", "labels_gold"):
-                labels = rec[key]
-                if (not isinstance(labels, list) or len(labels) != len(OBSERVATIONS)
-                        or any(v not in (0, 1) for v in labels)):
-                    raise DataError(f"{where}: field '{key}' must be a list of {len(OBSERVATIONS)} labels, each 0 or 1")
-            has_labels = True
-            labels_pred.append(rec["labels_pred"])
-            labels_gold.append(rec["labels_gold"])
+        generated, reference = (read_field(rec, key, where, lambda v: isinstance(v, str), "a string")
+                                for key in ("generated", "reference"))
+        pred, gold = (read_field(rec, key, where, _is_label_row, f"a list of {len(OBSERVATIONS)} labels, each 0 or 1",
+                                 default=None) for key in ("labels_pred", "labels_gold"))
+        cands.append(tokenize(generated))
+        refs.append(tokenize(reference))
+        if pred is not None and gold is not None:
+            labels_pred.append(pred)
+            labels_gold.append(gold)
         if "green_counts" in rec:
             has_green = True
             gc = rec["green_counts"]
@@ -261,7 +257,7 @@ def evaluate_run(generations_path, out_dir) -> dict:
         "n_reports": len(cands),
     }
     csv_rows = None
-    if has_labels:
+    if labels_pred:
         f1_14 = ce_f1(labels_pred, labels_gold, subset=14)
         f1_5 = ce_f1(labels_pred, labels_gold, subset=5)
         report["ce_f1_14"] = f1_14
@@ -282,6 +278,10 @@ def evaluate_run(generations_path, out_dir) -> dict:
     if csv_rows is not None:
         _write_f1_csv(out / "table.csv", csv_rows)
     return report
+
+
+def _is_label_row(value) -> bool:
+    return isinstance(value, list) and len(value) == len(OBSERVATIONS) and all(v in (0, 1) for v in value)
 
 
 def _write_f1_csv(path, f1_result) -> None:

@@ -18,7 +18,7 @@ def reference_multi_view_fuse(vis, batch, params):
     """[B, p, d1]: each anchor attends over its own auxiliary views."""
     gain, bias = params["stage1.fuse.ln.g"], params["stage1.fuse.ln.b"]
     fused_rows = []
-    for study, offset in zip(batch.studies, batch.view_offsets()):
+    for study, offset in zip(batch.studies, batch.view_offsets):
         m = study.num_views
         study_feats = ad.narrow(vis.per_view, 0, offset, m)  # [m, p, d1]
         anchor = ad.narrow(study_feats, 0, study.anchor_index, 1)  # [1, p, d1]

@@ -197,6 +197,40 @@ def test_attention_mask_blocks_keys():
         ad.scaled_dot_attention(q, k, v, key_mask=np.array([0.0, -1e9, 0.0, -1e9]))
 
 
+def _with_additive_mask(op, x, mask, temperature):
+    """``op`` under the masking the engine used before the softmax ops took
+    ``key_mask``: NEG_INF added to masked logits as a constant."""
+    return op(x + ad.constant(np.where(mask, 0.0, ad.NEG_INF), dtype=x.dtype), temperature=temperature)
+
+
+@pytest.mark.parametrize("op", [ad.softmax_rows, ad.log_softmax_rows])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("temperature", [1.0, 0.5])
+@pytest.mark.parametrize("layout", ["keys", "causal"])
+def test_key_mask_bitwise_equals_additive_neg_inf(op, dtype, temperature, layout):
+    rng = Rng(16)
+    x, g = (np.asarray(rng.normal((3, 5, 5), std=3.0), dtype=dtype) for _ in range(2))
+    real = np.array([[True] * 5, [True, True, True, False, False], [False] * 5])  # the last study is all PAD
+    mask = real[:, None, :] if layout == "keys" else np.tri(5, dtype=bool) & real[:, None, :]  # [B,1,L] / [B,T,T]
+    got_x, want_x = (ad.parameter(x, dtype=dtype) for _ in range(2))
+    got = op(got_x, temperature=temperature, key_mask=mask)
+    want = _with_additive_mask(op, want_x, mask, temperature)
+    for out in (got, want):
+        ad.tsum(out * ad.constant(g, dtype=dtype)).backward()
+    masked = ~np.broadcast_to(mask, x.shape)
+    live = np.broadcast_to(~masked.all(axis=-1, keepdims=True), x.shape)  # rows with an attendable key
+    weights = got.data if op is ad.softmax_rows else np.exp(got.data)
+    np.testing.assert_array_equal(weights[live & masked], 0.0)
+    # in float32 an all-PAD row's x - 1e9 rounds to -1e9 at every key, so the
+    # additive form is uniform there too; in float64 it leaks the row's logits
+    equal = live | (dtype == np.float32)
+    np.testing.assert_allclose(weights[~equal], 1 / 5)
+    # log-softmax outputs at masked entries are not meaningful: only their exp, 0, is read
+    read = equal & ~masked if op is ad.log_softmax_rows else equal
+    np.testing.assert_array_equal(got.data[read], want.data[read])
+    np.testing.assert_array_equal(got_x.grad[equal], want_x.grad[equal])
+
+
 def test_cross_entropy_one_hot_optimum():
     p = ad.constant([[0.0, 1.0], [1.0, 0.0]])
     loss = ad.cross_entropy_rows(p, p)

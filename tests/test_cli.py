@@ -138,8 +138,12 @@ def test_truncated_view_is_data_error(tmp_path, capsys):
     assert "data error: truncated TEN1 header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("report", 7), ("anchor_index", "x"), ("views", ["v.ten", 3])],
-                         ids=["report", "anchor_index", "views"])
+@pytest.mark.parametrize("field, value", [
+    ("report", 7), ("anchor_index", "x"), ("views", ["v.ten", 3]), ("indication", 5), ("indication", ["a"]),
+    ("factual_serialization", 5), ("factual_serialization", "abc def"), ("factual_serialization", [1, 2]),
+    ("study_id", [1]),
+], ids=["report", "anchor_index", "views", "indication_int", "indication_list", "serialization_int",
+        "serialization_string", "serialization_ints", "study_id_list"])
 def test_wrong_typed_manifest_field_is_data_error(tmp_path, capsys, field, value):
     data_dir = tmp_path / "corpus"
     cfg = _write_config(tmp_path / "c.json", data_dir=str(data_dir), out_dir=str(tmp_path / "run"))
@@ -182,7 +186,10 @@ def test_generations_line_that_is_not_an_object_is_data_error(tmp_path, capsys):
     {"labels_pred": [0] * 13 + [2]},
     {"green_counts": {"errors": [0] * 6}},
     {"green_counts": {"matched_findings": 1, "errors": [0, 0]}},
-], ids=["label_row_length", "label_string", "label_null", "label_two", "green_without_matched", "green_errors_length"])
+    {"generated": 5},
+    {"reference": None},
+], ids=["label_row_length", "label_string", "label_null", "label_two", "green_without_matched", "green_errors_length",
+        "generated_int", "reference_null"])
 def test_wrong_typed_generations_field_is_data_error(tmp_path, capsys, bad):
     row = {"generated": "patchy opacity", "reference": "patchy opacity", "labels_pred": [0] * 14,
            "labels_gold": [0] * 14, "green_counts": {"matched_findings": 1, "errors": [0] * 6}}
@@ -317,6 +324,10 @@ def _edit_header(ckpt_dir, edit):
     path.write_bytes(edit(json.loads(blob[:end])).encode() + blob[end:])
 
 
+def _without_hash(header):
+    return {key: value for key, value in header.items() if key != "vocab_hash"}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda h: json.dumps(h)[:-9], "malformed checkpoint header"),
     (lambda h: json.dumps([h]), "malformed checkpoint header"),
@@ -324,7 +335,12 @@ def _edit_header(ckpt_dir, edit):
     (lambda h: json.dumps({**h, "vocab_hash": 5}), "incompatible checkpoint: vocab_hash: checkpoint=5..."),
     (lambda h: json.dumps({**h, "param_names": [1]}), "malformed checkpoint header"),
     (lambda h: json.dumps({**h, "vocab": [1, 2, 3, 4, 5]}), "checkpoint metadata has no vocabulary"),
-], ids=["garbled_json", "json_list", "nested_too_deep", "vocab_hash_int", "param_name_int", "vocab_ints"])
+    (lambda h: json.dumps({**_without_hash(h), "vocab": ["x0", "x1", "x2", "x3", *h["vocab"][4:]]}),
+     "checkpoint vocabulary does not round-trip"),
+    (lambda h: json.dumps({**_without_hash(h), "vocab": [*h["vocab"][:-1], h["vocab"][4]]}),
+     "checkpoint vocabulary does not round-trip"),
+], ids=["garbled_json", "json_list", "nested_too_deep", "vocab_hash_int", "param_name_int", "vocab_ints",
+        "vocab_reserved_renamed", "vocab_duplicate"])
 def test_malformed_checkpoint_header_is_data_error(trained, tmp_path, capsys, edit, message):
     ckpt = tmp_path / "stage1_best"
     shutil.copytree(trained / "run" / "stage1_best", ckpt)

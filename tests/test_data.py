@@ -46,7 +46,7 @@ def test_batch_counts():
     batch = Batch(studies)
     assert batch.B == 3
     assert batch.M_imgs == 6
-    assert batch.view_offsets() == [0, 1, 3]
+    assert batch.view_offsets.tolist() == [0, 1, 3]
 
 
 @settings(max_examples=50, deadline=None)
@@ -57,7 +57,7 @@ def test_batch_counts_match_brute_force(view_counts):
     batch = Batch(studies)
     assert batch.B == len(view_counts)
     assert batch.M_imgs == sum(view_counts)
-    assert batch.view_offsets() == [sum(view_counts[:i]) for i in range(len(view_counts))]
+    assert batch.view_offsets.tolist() == [sum(view_counts[:i]) for i in range(len(view_counts))]
 
 
 def test_load_manifest_roundtrip(tmp_path):

@@ -14,7 +14,7 @@ from mvreport.encoders import (
 )
 from mvreport.errors import DataError
 from mvreport.rng import Rng
-from mvreport.text import Vocabulary
+from mvreport.text import PAD_ID, Vocabulary
 
 from conftest import make_study, tiny_config
 from conv_reference import reference_encode_views
@@ -127,6 +127,20 @@ def test_encode_text_truncates_to_k_t(setup):
     config, vocab, params = setup
     feats = encode_text([["patchy"] * 50], params, vocab, config)
     assert feats.ids.shape[1] == config.k_t
+
+
+def test_encode_text_ids_equal_the_padding_loop(setup):
+    config, vocab, params = setup
+    token_lists = [["patchy", "opacity"], [], ["heart", "unknown", "<pad>"], ["seen"] * 50]
+    encoded = [vocab.encode(toks, add_bos_eos=True, max_len=config.k_t) for toks in token_lists]
+    # the padding loop encode_text ran before text.pad_ids
+    want = np.full((len(encoded), max(len(ids) for ids in encoded)), PAD_ID, dtype=np.int64)
+    for i, ids in enumerate(encoded):
+        want[i, : len(ids)] = ids
+    feats = encode_text(token_lists, params, vocab, config)
+    assert feats.ids.dtype == want.dtype
+    np.testing.assert_array_equal(feats.ids, want)
+    np.testing.assert_array_equal(feats.pad_mask, want != PAD_ID)
 
 
 def test_masked_mean_matches_loop(setup):

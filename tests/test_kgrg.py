@@ -27,7 +27,7 @@ from mvreport.mvcl import stage1_forward
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
 from mvreport.synthetic import SynthSpec, build_vocabulary, synth_corpus
-from mvreport.text import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+from mvreport.text import BOS_ID, EOS_ID, PAD_ID, Vocabulary, tokenize
 
 from conftest import make_study, padded_indications, tiny_config
 from decode_reference import reference_generate
@@ -158,6 +158,33 @@ def test_report_target_ids_truncation():
     batch = Batch([make_study("s", 1, rng, report=long_report)])
     inputs, targets, mask = report_target_ids(batch, vocab, config)
     assert inputs.shape[1] <= config.max_tokens
+
+
+def _report_target_ids_loop(batch, vocab, config):
+    """``report_target_ids`` as the padding loop it was before ``text.pad_ids``."""
+    sequences = [vocab.encode(tokenize(s.report), max_len=config.max_tokens - 1) for s in batch.studies]
+    max_len = max(len(seq) for seq in sequences) + 1
+    inputs = np.full((batch.B, max_len), PAD_ID, dtype=np.int64)
+    targets = np.full((batch.B, max_len), PAD_ID, dtype=np.int64)
+    mask = np.zeros((batch.B, max_len), dtype=np.float32)
+    for i, seq in enumerate(sequences):
+        inputs[i, 0] = BOS_ID
+        inputs[i, 1 : 1 + len(seq)] = seq
+        targets[i, : len(seq)] = seq
+        targets[i, len(seq)] = EOS_ID
+        mask[i, : len(seq) + 1] = 1.0
+    return inputs, targets, mask
+
+
+@pytest.mark.parametrize("max_tokens", [4, 10])
+def test_report_target_ids_equal_the_padding_loop(max_tokens):
+    config, _, vocab, _ = _setup(max_tokens=max_tokens)
+    rng = Rng(13)
+    reports = ["patchy opacity seen", "heart", "unknown words <pad> here, patchy " * 3, "dense shadow noted."]
+    batch = Batch([make_study(f"s{i}", 1, rng, report=r) for i, r in enumerate(reports)])
+    for got, want in zip(report_target_ids(batch, vocab, config), _report_target_ids_loop(batch, vocab, config)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_lm_loss_uniform_logits_oracle():
