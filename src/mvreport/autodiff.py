@@ -508,20 +508,20 @@ def softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | Non
     """Row softmax over the last axis of logits divided by ``temperature``; where the boolean
     ``key_mask`` (broadcastable to ``x``) is False, the weight is exactly 0 if the row has a True entry."""
     e = np.exp(_shifted_logits(x, temperature, key_mask))
-    out_data = e / _sum64(e, axis=-1, keepdims=True)
+    out_data = (e / _sum64(e, axis=-1, keepdims=True)).astype(x.dtype, copy=False)
 
     def backward_fn(g):
         inner = _sum64(g * out_data, axis=-1, keepdims=True)
         x._accumulate((g - inner) * out_data / temperature)
 
-    return _make(out_data.astype(x.dtype), (x,), backward_fn, "softmax_rows")
+    return _make(out_data, (x,), backward_fn, "softmax_rows")
 
 
 def log_softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | None = None) -> Tensor:
     """Row log-softmax, as ``softmax_rows``; outputs at masked entries are very negative, not meaningful."""
     z = _shifted_logits(x, temperature, key_mask)
     lse = np.log(_sum64(np.exp(z), axis=-1, keepdims=True))
-    out_data = (z - lse).astype(x.dtype)
+    out_data = (z - lse).astype(x.dtype, copy=False)
     soft = np.exp(out_data)
 
     def backward_fn(g):
@@ -625,18 +625,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return view.reshape(n * ho * wo, kh * kw * c), ho, wo
 
 
-def _col2im(gtaps: np.ndarray, x_shape, ho: int, wo: int, stride: int, pad: int):
-    """Per-tap input gradients [kh, kw, N*Ho*Wo, C] -> [N, H, W, C]."""
-    n, h, w, c = x_shape
-    kh, kw = gtaps.shape[:2]
-    gx = np.zeros(x_shape, dtype=gtaps.dtype)
-    taps = gtaps.reshape(kh, kw, n, ho, wo, c)
-    for i, (out_rows, in_rows) in enumerate(_tap_slices(kh, stride, pad, h, ho)):
-        for j, (out_cols, in_cols) in enumerate(_tap_slices(kw, stride, pad, w, wo)):
-            gx[:, in_rows, in_cols] += taps[i, j, :, out_rows, out_cols]
-    return gx
-
-
 def _tap_slices(k: int, stride: int, pad: int, size: int, out_size: int) -> list:
     """Per kernel offset along one axis: the output positions whose tap lands
     inside the unpadded input, and the input positions they land on."""
@@ -669,9 +657,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if _needs_grad(b):
             b._accumulate(_sum64(gmat, axis=0))
         if _needs_grad(x):
-            # one GEMM per tap: [rows, O] @ [O, C] for each (i, j)
-            gtaps = np.matmul(gmat, np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)))
-            x._accumulate(_col2im(gtaps, x.shape, ho, wo, stride, padding))
+            # one [rows, O] @ [O, C] GEMM per tap into one [rows, C] buffer, added straight into gx
+            n, h, wd, _ = x.shape
+            wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
+            tap = np.empty((n, ho, wo, c), dtype=np.result_type(gmat, wt))
+            gx = np.zeros(x.shape, dtype=tap.dtype)
+            for i, (out_rows, in_rows) in enumerate(_tap_slices(kh, stride, padding, h, ho)):
+                for j, (out_cols, in_cols) in enumerate(_tap_slices(kw, stride, padding, wd, wo)):
+                    np.matmul(gmat, wt[i, j], out=tap.reshape(-1, c))
+                    gx[:, in_rows, in_cols] += tap[:, out_rows, out_cols]
+            x._accumulate(gx)
 
     return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 
