@@ -1,10 +1,14 @@
-"""Reference NCHW convolution and view encoder.
+"""Reference convolutions and view encoder.
 
 ``_im2col``, ``_col2im`` and ``conv2d`` are the NCHW im2col convolution
 that ``autodiff.conv2d`` replaced with a channels-last one (one GEMM per
 tap for the input gradient); ``reference_encode_views`` is the view
 encoder built on it, ending in a reshape and transpose to [M, p, d1].
-The tests require both versions to agree.
+``tap_buffer_conv2d`` is the channels-last convolution whose backward
+built every tap's input gradient at once, a [kh, kw, rows, C] buffer
+from one batched ``np.matmul``, and then added the taps into the input
+gradient with ``_add_taps``; ``autodiff.conv2d`` now adds each tap as
+soon as its GEMM is done. The tests require the versions to agree.
 """
 
 import numpy as np
@@ -68,6 +72,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding))
 
     return _make(np.ascontiguousarray(out_data), (x, w, b), backward_fn, "conv2d")
+
+
+def _add_taps(gtaps: np.ndarray, x_shape, ho: int, wo: int, stride: int, pad: int):
+    """Per-tap input gradients [kh, kw, N*Ho*Wo, C] -> [N, H, W, C]."""
+    n, h, w, c = x_shape
+    kh, kw = gtaps.shape[:2]
+    gx = np.zeros(x_shape, dtype=gtaps.dtype)
+    taps = gtaps.reshape(kh, kw, n, ho, wo, c)
+    for i, (out_rows, in_rows) in enumerate(ad._tap_slices(kh, stride, pad, h, ho)):
+        for j, (out_cols, in_cols) in enumerate(ad._tap_slices(kw, stride, pad, w, wo)):
+            gx[:, in_rows, in_cols] += taps[i, j, :, out_rows, out_cols]
+    return gx
+
+
+def tap_buffer_conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Channels-last conv2d whose input gradient goes through a [kh, kw, rows, C] tap buffer."""
+    o, c, kh, kw = w.shape
+    cols, ho, wo = ad._im2col(x.data, kh, kw, stride, padding)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(o, -1)
+    out = cols @ wmat.T
+    out += b.data
+
+    def backward_fn(g):
+        gmat = g.reshape(-1, o)
+        if _needs_grad(w):
+            gw = (gmat.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+            w._accumulate(np.ascontiguousarray(gw))
+        if _needs_grad(b):
+            b._accumulate(_sum64(gmat, axis=0))
+        if _needs_grad(x):
+            gtaps = np.matmul(gmat, np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)))
+            x._accumulate(_add_taps(gtaps, x.shape, ho, wo, stride, padding))
+
+    return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 
 
 def reference_encode_views(views: np.ndarray, params: dict) -> Tensor:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,67 @@ def test_conv2d_matches_nchw_reference(stride, padding, channels, x_is_param):
         np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-10)
     else:
         assert gx is None and ref_gx is None
+
+
+TAP_CASES = [
+    ((505, 32, 32, 1), (16, 1, 3, 3), 2, 1),  # the view encoder's three layers at 505 views
+    ((505, 16, 16, 16), (32, 16, 3, 3), 2, 1),
+    ((505, 8, 8, 32), (64, 32, 3, 3), 2, 1),
+    ((3, 7, 6, 3), (4, 3, 3, 3), 1, 0),
+    ((3, 2, 5, 2), (4, 2, 3, 3), 3, 3),  # kernel row 2 lands on no input row
+    ((3, 7, 6, 3), (4, 3, 2, 3), 2, 1),
+    ((1, 7, 7, 2), (3, 2, 3, 3), 2, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", TAP_CASES)
+def test_conv2d_bitwise_equals_tap_buffer_reference(x_shape, w_shape, stride, padding, dtype):
+    """Adding each tap's input gradient into gx as its GEMM finishes gives the
+    same bytes as the [kh, kw, rows, C] tap buffer plus ``_add_taps``: the
+    output and the gradients of x, w and b."""
+    rng = Rng(21)
+    x, w, b = (np.asarray(rng.normal(shape), dtype=dtype) for shape in (x_shape, w_shape, w_shape[:1]))
+    ho = (x_shape[1] + 2 * padding - w_shape[2]) // stride + 1
+    wo = (x_shape[2] + 2 * padding - w_shape[3]) // stride + 1
+    upstream = np.asarray(rng.normal((x_shape[0], ho, wo, w_shape[0])), dtype=dtype)
+    results = []
+    for conv in (ad.conv2d, conv_reference.tap_buffer_conv2d):
+        xt, wt, bt = (ad.parameter(a, dtype=dtype) for a in (x, w, b))
+        out = conv(xt, wt, bt, stride=stride, padding=padding)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append((out.data, xt.grad, wt.grad, bt.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    if padding == 3:
+        assert any(s.start == s.stop for s, _ in ad._tap_slices(3, stride, padding, x_shape[1], ho))
+
+
+def test_conv2d_backward_peak_memory_stays_under_gx_plus_three_taps():
+    """conv2d's backward at x [64, 16, 16, 16], stride 2, allocates at most the
+    input gradient plus three [rows, C] taps (1.83 MB); a [kh, kw, rows, C]
+    tap buffer, as the reference builds, holds nine."""
+    rng = Rng(22)
+    x = ad.parameter(np.asarray(rng.normal((64, 16, 16, 16)), dtype=np.float32))
+    w = ad.parameter(np.asarray(rng.normal((32, 16, 3, 3)), dtype=np.float32))
+    b = ad.parameter(np.zeros(32, dtype=np.float32))
+    peaks = []
+    for conv in (ad.conv2d, conv_reference.tap_buffer_conv2d):
+        x.grad = w.grad = b.grad = None
+        out = conv(x, w, b, stride=2, padding=1)
+        g = np.ones(out.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out._backward_fn(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape
+    tap_bytes = int(np.prod(out.shape[:3])) * x.shape[3] * 4
+    bound = x.data.nbytes + 3 * tap_bytes
+    assert bound == 1_835_008
+    assert peaks[0] <= bound < peaks[1]
 
 
 def test_gather_rows_and_scatter_add_backward():
