@@ -10,6 +10,8 @@ recorded, for forwards whose graph nothing reads.
 Ownership rule: no gradient array is ever written in place. A closure
 hands its parent any array, a view of the upstream gradient included,
 and ``_accumulate`` keeps it uncopied or sums it into a new array.
+Forward data is overwritten only in an array the op has just made and
+no node has consumed yet (``conv2d_relu``'s ReLU, ``affine``'s bias).
 
 Reductions accumulate in 64-bit regardless of the storage dtype.
 Softmax sets masked logits to NEG_INF and subtracts the row max before
@@ -671,10 +673,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 
 
+def conv2d_relu(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """``relu(conv2d(x, w, b))`` as one node that holds one array: the ReLU
+    runs in place on the conv's fresh output, and the backward masks the
+    gradient where that output is positive, as ``relu`` masks where its input is."""
+    conv = conv2d(x, w, b, stride=stride, padding=padding)
+    out_data = np.maximum(conv.data, 0, out=conv.data)
+    conv_backward = conv._backward_fn
+
+    def backward_fn(g):
+        conv_backward(g * (out_data > 0))
+
+    return _make(out_data, (x, w, b), backward_fn, "conv2d_relu")
+
+
 # -- small helpers used by model code -------------------------------------------
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis."""
-    return matmul(x, w) + b
+    """x @ w + b over the last axis, as one node that holds one array: the
+    bias ``[k]`` is added in place to the matmul's fresh output."""
+    if b.shape != w.shape[-1:]:
+        raise DimensionError(f"affine bias must have shape {w.shape[-1:]}, got {b.shape}")
+    product = matmul(x, w)
+    product.data += b.data
+    matmul_backward = product._backward_fn
+
+    def backward_fn(g):
+        if _needs_grad(b):
+            b._accumulate(_unbroadcast(g, b.shape))
+        if matmul_backward is not None:  # None when only b needs a gradient
+            matmul_backward(g)
+
+    return _make(product.data, (x, w, b), backward_fn, "affine")
 

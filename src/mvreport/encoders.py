@@ -106,8 +106,7 @@ def encode_views(views: np.ndarray, params: dict, config: RunConfig) -> VisualFe
         raise DataError(f"view size {views.shape[2:]} does not match configured image_size {config.image_size}")
     x = ad.constant(views.reshape(m, h, w, 1))  # channels last; free because C == 1
     for i in range(3):
-        x = ad.conv2d(x, params[f"stage1.vis.conv{i}.w"], params[f"stage1.vis.conv{i}.b"], stride=2, padding=1)
-        x = ad.relu(x)
+        x = ad.conv2d_relu(x, params[f"stage1.vis.conv{i}.w"], params[f"stage1.vis.conv{i}.b"], stride=2, padding=1)
     _, ho, wo, d1 = x.shape
     return VisualFeatures(per_view=ad.reshape(x, (m, ho * wo, d1)))
 
