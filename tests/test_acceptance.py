@@ -191,6 +191,13 @@ def _op_cases(rng):
         dot = _dot(rng, (2, 3, 3, 2))
         return lambda: dot(ad.conv2d(x, w, b, stride=2, padding=1)), [x, w, b]
 
+    def case_conv2d_relu():
+        x = ad.parameter(np.ascontiguousarray(_p(rng, (2, 1, 6, 6)).data.transpose(0, 2, 3, 1)), dtype=F64)  # NHWC
+        w = _p(rng, (2, 1, 3, 3), std=0.5)
+        b = _p(rng, (2,))
+        dot = _dot(rng, (2, 3, 3, 2))
+        return lambda: dot(ad.conv2d_relu(x, w, b, stride=2, padding=1)), [x, w, b]
+
     def case_affine():
         x, w, b = _p(rng, (3, 4)), _p(rng, (4, 2)), _p(rng, (2,))
         dot = _dot(rng, (3, 2))
@@ -206,7 +213,7 @@ def _op_cases(rng):
         "log_softmax": case_log_softmax, "layer_norm": case_layer_norm,
         "l2_normalize": case_l2_normalize, "attention": case_attention,
         "cross_entropy": case_cross_entropy, "conv2d": case_conv2d,
-        "affine": case_affine,
+        "conv2d_relu": case_conv2d_relu, "affine": case_affine,
     }
 
 

@@ -364,6 +364,12 @@ def test_conv2d_matches_nchw_reference(stride, padding, channels, x_is_param):
         assert gx is None and ref_gx is None
 
 
+def assert_same_bytes(got, want, dtype):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 TAP_CASES = [
     ((505, 32, 32, 1), (16, 1, 3, 3), 2, 1),  # the view encoder's three layers at 505 views
     ((505, 16, 16, 16), (32, 16, 3, 3), 2, 1),
@@ -392,9 +398,7 @@ def test_conv2d_bitwise_equals_tap_buffer_reference(x_shape, w_shape, stride, pa
         out = conv(xt, wt, bt, stride=stride, padding=padding)
         ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
         results.append((out.data, xt.grad, wt.grad, bt.grad))
-    for got, want in zip(*results):
-        assert got.dtype == want.dtype == dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert_same_bytes(*results, dtype)
     if padding == 3:
         assert any(s.start == s.stop for s, _ in ad._tap_slices(3, stride, padding, x_shape[1], ho))
 
@@ -423,6 +427,84 @@ def test_conv2d_backward_peak_memory_stays_under_gx_plus_three_taps():
     bound = x.data.nbytes + 3 * tap_bytes
     assert bound == 1_835_008
     assert peaks[0] <= bound < peaks[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", TAP_CASES)
+def test_conv2d_relu_bitwise_equals_relu_of_conv2d(x_shape, w_shape, stride, padding, dtype):
+    """The fused block gives the bytes of ``relu(conv2d(...))``: the output and
+    the gradients of x, w and b. Output channel 0 is NaN before the ReLU
+    (a NaN bias) and channel 1 exactly 0 (zero weights and bias)."""
+    rng = Rng(31)
+    x, w, b = (np.asarray(rng.normal(shape), dtype=dtype) for shape in (x_shape, w_shape, w_shape[:1]))
+    b[0] = np.nan
+    w[1], b[1] = 0.0, 0.0
+    ho = (x_shape[1] + 2 * padding - w_shape[2]) // stride + 1
+    wo = (x_shape[2] + 2 * padding - w_shape[3]) // stride + 1
+    upstream = np.asarray(rng.normal((x_shape[0], ho, wo, w_shape[0])), dtype=dtype)
+    results = []
+    for block in (ad.conv2d_relu, lambda *t, **kw: ad.relu(ad.conv2d(*t, **kw))):
+        xt, wt, bt = (ad.parameter(a, dtype=dtype) for a in (x, w, b))
+        out = block(xt, wt, bt, stride=stride, padding=padding)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append((out.data, xt.grad, wt.grad, bt.grad))
+    assert_same_bytes(*results, dtype)
+    out, gx = results[0][:2]
+    assert np.isnan(out[..., 0]).all() and (out[..., 1] == 0).all() and not np.isnan(gx).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_conv2d_relu_masks_exact_zeros_and_nan_as_relu_does(monkeypatch, dtype):
+    """The mask taken from the output (``out > 0``) equals relu's mask taken
+    from its input (``a > 0``) on pre-activations 0.0, -0.0, NaN and the
+    smallest subnormals: with conv2d standing in as the identity on x, the
+    output and x's gradient are relu's bytes."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    pre = np.array([0.0, -0.0, np.nan, -np.nan, tiny, -tiny, 1.5, -2.0, np.inf, -np.inf], dtype=dtype)
+    upstream = np.arange(1, pre.size + 1, dtype=dtype)
+    monkeypatch.setattr(ad, "conv2d", lambda x, w, b, stride, padding: x * 1.0)
+    unused = ad.constant(np.zeros(1), dtype=dtype)
+    results = []
+    for block in (lambda a: ad.conv2d_relu(a, unused, unused), ad.relu):
+        a = ad.parameter(pre, dtype=dtype)
+        out = block(a)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append((out.data, a.grad))
+    assert_same_bytes(*results, dtype)
+    assert results[0][1].tolist() == [0, 0, 0, 0, 5, 0, 7, 0, 9, 0]
+
+
+AFFINE_CASES = [
+    ((6, 4), (4, 5)),
+    ((3, 7, 4), (4, 5)),
+    ((256, 24, 64), (64, 128)),  # a Stage-1 FFN's first layer at B=256
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("x_shape,w_shape", AFFINE_CASES)
+@pytest.mark.parametrize("trained", ["xwb", "wb", "b"])
+def test_affine_bitwise_equals_matmul_plus_bias(x_shape, w_shape, trained, dtype):
+    """``affine`` gives the bytes of ``matmul(x, w) + b``: the output and the
+    gradient of every input that is trained (the others are constants)."""
+    rng = Rng(32)
+    arrays = [np.asarray(rng.normal(shape), dtype=dtype) for shape in (x_shape, w_shape, w_shape[-1:])]
+    upstream = np.asarray(rng.normal(x_shape[:-1] + w_shape[-1:]), dtype=dtype)
+    results = []
+    for layer in (ad.affine, lambda x, w, b: ad.matmul(x, w) + b):
+        inputs = [(ad.parameter if name in trained else ad.constant)(a, dtype=dtype)
+                  for name, a in zip("xwb", arrays)]
+        out = layer(*inputs)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append((out.data, *(t.grad for name, t in zip("xwb", inputs) if name in trained)))
+    assert_same_bytes(*results, dtype)
+
+
+@pytest.mark.parametrize("bias_shape", [(5, 1), (1, 5), (4,), ()])
+def test_affine_rejects_a_bias_that_is_not_one_row(bias_shape):
+    x, w = ad.constant(np.ones((3, 4))), ad.constant(np.ones((4, 5)))
+    with pytest.raises(DimensionError, match=r"affine bias must have shape \(5,\)"):
+        ad.affine(x, w, ad.constant(np.ones(bias_shape)))
 
 
 def test_gather_rows_and_scatter_add_backward():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,32 @@ def test_encode_views_gradient(setup):
         return ad.tsum(encode_views(views, params64, config).per_view * w)
 
     check_grads(loss_fn, conv_params, rtol=1e-3, atol=1e-6)
+
+
+def test_encode_views_graph_holds_only_columns_and_post_relu_outputs():
+    """After a grad-recording forward on 64 views at image 32, d1 64, the
+    graph holds each block's im2col columns (4.13 MB in all) and its
+    post-ReLU output (1.84 MB), plus 64 KiB for everything else. A second
+    array per block before the ReLU would add another 1.84 MB."""
+    config = tiny_config(image_size=32, d1=64)
+    params = init_stage1_params(config, 8, Rng(7))
+    views = np.asarray(Rng(8).normal((64, 1, 32, 32)), dtype=np.float32)
+    channels, side = conv_channels(config), config.image_size
+    columns = outputs = 0
+    for cin, cout in zip(channels, channels[1:]):
+        side //= 2
+        rows = len(views) * side * side
+        columns += rows * 9 * cin * 4
+        outputs += rows * cout * 4
+    assert (columns, outputs) == (4_128_768, 1_835_008)
+    tracemalloc.start()
+    try:
+        feats = encode_views(views, params, config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert feats.per_view._backward_fn is not None
+    assert columns + outputs <= held <= columns + outputs + 64 * 1024
 
 
 @pytest.mark.parametrize("views_per_study", [[1], [2], [3], [1, 3, 2]])
