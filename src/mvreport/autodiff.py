@@ -7,11 +7,20 @@ scalar runs the tape once in reverse topological order, accumulating
 gradients additively at fan-out. Inside ``no_grad()`` no graph is
 recorded, for forwards whose graph nothing reads.
 
+Run-once rule: a graph is consumed by its backward. Each node's closure
+runs once and is then replaced by ``_consumed``, which frees the arrays it
+captured as the pass moves down the tape; ``.data``, ``_parents`` and
+``_op`` stay. A later ``backward()`` that reaches a consumed node, from
+the same root or from a new loss built on one of its nodes, raises
+``GraphError`` before any gradient is written. Graphs that share only
+leaves still accumulate into the leaves' gradients.
+
 Ownership rule: no gradient array is ever written in place. A closure
 hands its parent any array, a view of the upstream gradient included,
 and ``_accumulate`` keeps it uncopied or sums it into a new array.
 Forward data is overwritten only in an array the op has just made and
-no node has consumed yet (``conv2d_relu``'s ReLU, ``affine``'s bias).
+no node has consumed yet (the ReLU of ``conv2d_relu`` and ``affine_relu``,
+``affine``'s bias).
 
 Reductions accumulate in 64-bit regardless of the storage dtype.
 Softmax sets masked logits to NEG_INF and subtracts the row max before
@@ -132,14 +141,23 @@ class Tensor:
     def backward(self) -> None:
         """Reverse pass from a scalar; leaf grads accumulate across calls.
 
-        An interior node's gradient is dropped as soon as its closure has
-        run: every consumer of the node comes before it in reverse order."""
+        Runs each closure once: a node's closure is replaced by ``_consumed``
+        as soon as it has run, and an interior node's gradient is dropped
+        then too (every consumer of the node comes before it in reverse
+        order). A graph with a consumed node raises ``GraphError``, before
+        any gradient is written: a second ``backward()`` on the same root,
+        or on a new loss built on a node of a consumed graph."""
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.data.shape}")
+        order = _topo_order(self)
+        for node in order:
+            if node._backward_fn is _consumed:
+                _consumed(None)
         self.grad = np.ones_like(self.data)
-        for node in reversed(_topo_order(self)):
+        for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+                node._backward_fn = _consumed
                 if node is not self:
                     node.grad = None
 
@@ -197,6 +215,12 @@ def constant(data, dtype=None) -> Tensor:
 
 def parameter(data, dtype=None) -> Tensor:
     return Tensor(np.asarray(data), requires_grad=True, dtype=dtype or DEFAULT_DTYPE)
+
+
+def _consumed(g):
+    """The closure of a node whose closure has run: the arrays it captured
+    are freed, so its gradient cannot be computed again."""
+    raise GraphError("backward reached a graph that an earlier backward() consumed; rebuild it with a new forward")
 
 
 def _topo_order(root: Tensor) -> list:
@@ -652,10 +676,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     out += b.data
 
     def backward_fn(g):
+        nonlocal cols
         gmat = g.reshape(-1, o)
         if _needs_grad(w):
             gw = (gmat.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
             w._accumulate(np.ascontiguousarray(gw))
+        cols = None  # their last use: gx and the tap reuse the memory
         if _needs_grad(b):
             b._accumulate(_sum64(gmat, axis=0))
         if _needs_grad(x):
@@ -673,18 +699,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
 
 
-def conv2d_relu(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """``relu(conv2d(x, w, b))`` as one node that holds one array: the ReLU
-    runs in place on the conv's fresh output, and the backward masks the
-    gradient where that output is positive, as ``relu`` masks where its input is."""
-    conv = conv2d(x, w, b, stride=stride, padding=padding)
-    out_data = np.maximum(conv.data, 0, out=conv.data)
-    conv_backward = conv._backward_fn
+def _relu_in_place(node: Tensor, op: str) -> Tensor:
+    """``relu(node)`` as one node on ``node``'s parents that holds one array:
+    the ReLU runs in place on ``node``'s fresh output, which no node has
+    consumed, and the backward runs ``node``'s closure on the gradient
+    masked where that output is positive, as ``relu`` masks where its input is."""
+    out_data = np.maximum(node.data, 0, out=node.data)
+    node_backward = node._backward_fn
 
     def backward_fn(g):
-        conv_backward(g * (out_data > 0))
+        node_backward(g * (out_data > 0))
 
-    return _make(out_data, (x, w, b), backward_fn, "conv2d_relu")
+    return _make(out_data, node._parents, backward_fn, op)
+
+
+def conv2d_relu(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """``relu(conv2d(x, w, b))`` as one node that holds one array."""
+    return _relu_in_place(conv2d(x, w, b, stride=stride, padding=padding), "conv2d_relu")
 
 
 # -- small helpers used by model code -------------------------------------------
@@ -707,3 +738,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     return _make(product.data, (x, w, b), backward_fn, "affine")
 
+
+def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``relu(affine(x, w, b))`` as one node that holds one array."""
+    return _relu_in_place(affine(x, w, b), "affine_relu")

@@ -113,7 +113,7 @@ def encode_views(views: np.ndarray, params: dict, config: RunConfig) -> VisualFe
 
 def _mlp(x: Tensor, params: dict, prefix: str) -> Tensor:
     """Two affine layers with a ReLU between, over the last axis."""
-    hidden = ad.relu(ad.affine(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    hidden = ad.affine_relu(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     return ad.affine(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 

@@ -203,6 +203,11 @@ def _op_cases(rng):
         dot = _dot(rng, (3, 2))
         return lambda: dot(ad.affine(x, w, b)), [x, w, b]
 
+    def case_affine_relu():
+        x, w, b = _p(rng, (3, 4)), _p(rng, (4, 2)), _p(rng, (2,))
+        dot = _dot(rng, (3, 2))
+        return lambda: dot(ad.affine_relu(x, w, b)), [x, w, b]
+
     return {
         "add": case_add, "sub": case_sub, "mul": case_mul, "div": case_div,
         "relu": case_relu, "exp": case_exp, "log": case_log,
@@ -214,6 +219,7 @@ def _op_cases(rng):
         "l2_normalize": case_l2_normalize, "attention": case_attention,
         "cross_entropy": case_cross_entropy, "conv2d": case_conv2d,
         "conv2d_relu": case_conv2d_relu, "affine": case_affine,
+        "affine_relu": case_affine_relu,
     }
 
 

@@ -299,8 +299,59 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     assert all(n.grad is None for n in interior)
     np.testing.assert_array_equal(loss.grad, 1.0)
     np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
+    with pytest.raises(GraphError):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
+
+
+def test_backward_runs_each_closure_once_and_keeps_the_tape():
+    """After backward every closure that ran is ``_consumed``; the tape a
+    walk over ``_parents`` sees (nodes, ops, data) is unchanged."""
+    x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
+    h = ad.relu(x * 2.0)
+    loss = ad.tsum(ad.narrow(h, 0, 0, 2)) + ad.tsum(h * h)
+    order = ad._topo_order(loss)
+    before = [(n._op, n._parents, n.data.copy()) for n in order]
     loss.backward()
-    np.testing.assert_array_equal(x.grad, [20.0, 0.0, 48.0])
+    assert [n for n in ad._topo_order(loss)] == order
+    for n, (op, parents, data) in zip(order, before):
+        assert n._op == op and n._parents == parents
+        np.testing.assert_array_equal(n.data, data)
+    ran = [n for n in order if n._parents]
+    assert len(ran) == 7 and all(n._backward_fn is ad._consumed for n in ran)
+    assert x._backward_fn is None
+
+
+def test_second_backward_on_the_same_root_raises_before_writing_a_gradient():
+    x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
+    loss = ad.tsum(x * x)
+    loss.backward()
+    with pytest.raises(GraphError, match="consumed"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
+
+
+def test_loss_built_on_a_consumed_intermediate_raises_before_writing_a_gradient():
+    """The new loss's own closures would run first and reach the leaf ``w``;
+    the pass refuses before any of them runs."""
+    x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
+    w = ad.parameter(np.array([0.5, 0.25, 2.0]), dtype=F64)
+    h = x * 2.0
+    ad.tsum(h).backward()
+    later = ad.tsum(h * w)
+    with pytest.raises(GraphError, match="consumed"):
+        later.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    assert w.grad is None and later.grad is None
+    assert later._parents[0]._backward_fn is not ad._consumed
+
+
+def test_graphs_sharing_only_leaves_accumulate_when_both_are_built_first():
+    x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
+    first, second = ad.tsum(x * x), ad.tsum(x * 3.0)
+    first.backward()
+    second.backward()
+    np.testing.assert_array_equal(x.grad, [5.0, -1.0, 9.0])
 
 
 def test_fanout_gradient_accumulation():
@@ -429,6 +480,32 @@ def test_conv2d_backward_peak_memory_stays_under_gx_plus_three_taps():
     assert peaks[0] <= bound < peaks[1]
 
 
+def test_conv2d_backward_releases_its_columns_before_allocating_gx():
+    """At x [64, 16, 16, 16], stride 2, the columns (2.36 MB) outweigh gx
+    plus three taps (1.83 MB). With the columns released after the weight
+    gradient, the backward's peak stays below the live bytes it starts from
+    plus gx; held to the end, gx is allocated on top of them."""
+    rng = Rng(22)
+    x = ad.parameter(np.asarray(rng.normal((64, 16, 16, 16)), dtype=np.float32))
+    w = ad.parameter(np.asarray(rng.normal((32, 16, 3, 3)), dtype=np.float32))
+    b = ad.parameter(np.zeros(32, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        out = ad.conv2d(x, w, b, stride=2, padding=1)
+        g = np.ones(out.shape, dtype=np.float32)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out._backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cols_bytes = int(np.prod(out.shape[:3])) * 9 * x.shape[3] * 4
+    tap_bytes = int(np.prod(out.shape[:3])) * x.shape[3] * 4
+    assert cols_bytes == 2_359_296 > x.data.nbytes + 3 * tap_bytes
+    assert x.grad.shape == x.shape and live >= cols_bytes + out.data.nbytes
+    assert peak - live < x.data.nbytes  # gx has the bytes of x
+
+
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", TAP_CASES)
 def test_conv2d_relu_bitwise_equals_relu_of_conv2d(x_shape, w_shape, stride, padding, dtype):
@@ -498,6 +575,49 @@ def test_affine_bitwise_equals_matmul_plus_bias(x_shape, w_shape, trained, dtype
         ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
         results.append((out.data, *(t.grad for name, t in zip("xwb", inputs) if name in trained)))
     assert_same_bytes(*results, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("x_shape,w_shape", AFFINE_CASES)
+def test_affine_relu_bitwise_equals_relu_of_affine(x_shape, w_shape, dtype):
+    """The fused layer gives the bytes of ``relu(affine(...))``: the output
+    and the gradients of x, w and b. Output column 0 is NaN before the ReLU,
+    columns 1 and 2 are +inf and -inf, column 3 is exactly 0 (a NaN, an
+    infinite or a zero bias over zero weights for column 3)."""
+    rng = Rng(33)
+    x, w, b = (np.asarray(rng.normal(shape), dtype=dtype) for shape in (x_shape, w_shape, w_shape[-1:]))
+    b[:3] = np.nan, np.inf, -np.inf
+    w[:, 3], b[3] = 0.0, 0.0
+    upstream = np.asarray(rng.normal(x_shape[:-1] + w_shape[-1:]), dtype=dtype)
+    results = []
+    for layer in (ad.affine_relu, lambda *t: ad.relu(ad.affine(*t))):
+        xt, wt, bt = (ad.parameter(a, dtype=dtype) for a in (x, w, b))
+        out = layer(xt, wt, bt)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append((out.data, xt.grad, wt.grad, bt.grad))
+    assert_same_bytes(*results, dtype)
+    out = results[0][0]
+    assert np.isnan(out[..., 0]).all() and np.isposinf(out[..., 1]).all() and (out[..., 2:4] == 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_affine_relu_masks_exact_zeros_and_nan_as_relu_does(monkeypatch, dtype):
+    """As for ``conv2d_relu``: with affine standing in as the identity on x,
+    pre-activations 0.0, -0.0, NaN, the smallest subnormals and +-inf give
+    relu's output and gradient bytes."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    pre = np.array([0.0, -0.0, np.nan, -np.nan, tiny, -tiny, 1.5, -2.0, np.inf, -np.inf], dtype=dtype)
+    upstream = np.arange(1, pre.size + 1, dtype=dtype)
+    monkeypatch.setattr(ad, "affine", lambda x, w, b: x * 1.0)
+    unused = ad.constant(np.zeros(1), dtype=dtype)
+    results = []
+    for layer in (lambda a: ad.affine_relu(a, unused, unused), ad.relu):
+        a = ad.parameter(pre, dtype=dtype)
+        out = layer(a)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append((out.data, a.grad))
+    assert_same_bytes(*results, dtype)
+    assert results[0][1].tolist() == [0, 0, 0, 0, 5, 0, 7, 0, 9, 0]
 
 
 @pytest.mark.parametrize("bias_shape", [(5, 1), (1, 5), (4,), ()])

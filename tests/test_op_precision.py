@@ -5,7 +5,8 @@ inputs rounded to float32 first, so the error measured is the op's own
 arithmetic. Each ``*_REFERENCE`` holds the relative errors read at seed 0,
 and every error may be at most ``FACTOR`` times its reference: over seeds
 0-9 the largest error was 1.33x its seed-0 value (the conv bias gradient;
-for layer_norm, 1.31x, also the bias gradient).
+for layer_norm, 1.31x, also the bias gradient). The softmax errors spread
+less, at most 1.05x over seeds 0-9, so they take ``SOFTMAX_FACTOR``.
 """
 
 import numpy as np
@@ -21,6 +22,24 @@ FACTOR = 2.0
 CONV_REFERENCE = {"out": 1.488e-7, "x": 1.084e-7, "w": 3.711e-7, "b": 2.565e-8}
 # layer_norm at x [256, 24, 64]: the gain and bias gradients sum 256 * 24 = 6144 rows
 LAYER_NORM_REFERENCE = {"out": 5.741e-8, "x": 5.907e-8, "gain": 5.389e-8, "bias": 2.388e-8}
+# softmax_rows and log_softmax_rows at tape shapes of a B=256 step: text
+# attention scores with PAD keys masked, the MPC's off-diagonal view
+# similarities at temperature 0.5, and the LM's logits over a vocabulary of
+# 37: (shape, temperature, input std, masked)
+SOFTMAX_CASES = {
+    "attention": ((256, 24, 24), 1.0, 1.0, True),
+    "mpc": ((416, 415), 0.5, 0.5, False),
+    "lm": ((256, 11, 37), 1.0, 2.0, False),
+}
+SOFTMAX_FACTOR = 1.5
+SOFTMAX_REFERENCE = {
+    ("softmax_rows", "attention"): {"out": 4.968e-8, "x": 6.494e-8},
+    ("softmax_rows", "mpc"): {"out": 6.472e-8, "x": 7.434e-8},
+    ("softmax_rows", "lm"): {"out": 4.310e-8, "x": 6.550e-8},
+    ("log_softmax_rows", "attention"): {"out": 3.582e-8, "x": 4.202e-8},
+    ("log_softmax_rows", "mpc"): {"out": 3.220e-8, "x": 2.910e-8},
+    ("log_softmax_rows", "lm"): {"out": 3.550e-8, "x": 4.132e-8},
+}
 
 
 def relative_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -59,12 +78,36 @@ def layer_norm_errors(seed: int) -> dict:
     return float32_errors(ad.layer_norm, (x, gain, bias), g, LAYER_NORM_REFERENCE)
 
 
-def over_bound(errors: dict, reference: dict) -> list:
-    return [name for name, err in errors.items() if err > FACTOR * reference[name]]
+def softmax_errors(op: str, case: str, seed: int, offset: float = 0.0) -> dict:
+    """Relative float32 error of ``op``'s output and x gradient at ``case``,
+    on inputs shifted by ``offset``. Where keys are masked, the output and
+    the upstream gradient are zeroed there: log_softmax_rows's masked
+    outputs are not meaningful, and no loss reads them."""
+    shape, temperature, std, masked = SOFTMAX_CASES[case]
+    rng = Rng(seed)
+    x = np.asarray(rng.normal(shape, std=std) + offset, dtype=np.float32)
+    g = np.asarray(rng.normal(shape), dtype=np.float32)
+    if masked:  # each report keeps 11 to 24 of its 24 positions
+        lengths = 11 + np.minimum(np.abs(rng.normal((shape[0],))) * 6, 13).astype(int)
+        keep = (np.arange(shape[-1]) < lengths[:, None])[:, None, :]
+        return float32_errors(lambda t: getattr(ad, op)(t, temperature, keep) * keep, (x,), g * keep, ("out", "x"))
+    return float32_errors(lambda t: getattr(ad, op)(t, temperature), (x,), g, ("out", "x"))
+
+
+def over_bound(errors: dict, reference: dict, factor: float = FACTOR) -> list:
+    return [name for name, err in errors.items() if err > factor * reference[name]]
 
 
 def sum64_in_storage_dtype(monkeypatch):
     monkeypatch.setattr(ad, "_sum64", lambda x, axis=None, keepdims=False: x.sum(axis=axis, keepdims=keepdims))
+
+
+def softmax_without_row_max_shift(monkeypatch):
+    def unshifted(x, temperature, key_mask):
+        z = x.data / temperature
+        return z if key_mask is None else np.where(key_mask, z, ad.NEG_INF)
+
+    monkeypatch.setattr(ad, "_shifted_logits", unshifted)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -89,3 +132,32 @@ def test_layer_norm_precision_check_catches_sum64_in_storage_dtype(monkeypatch):
     float64 breaks both bounds (about 23x and 56x their references at seed 0)."""
     sum64_in_storage_dtype(monkeypatch)
     assert over_bound(layer_norm_errors(0), LAYER_NORM_REFERENCE) == ["gain", "bias"]
+
+
+@pytest.mark.parametrize("seed,offset", [(seed, 0.0) for seed in range(5)] + [(0, 30.0)])
+@pytest.mark.parametrize("op,case", SOFTMAX_REFERENCE)
+def test_softmax_float32_error_stays_within_factor_of_reference(op, case, seed, offset):
+    errors = softmax_errors(op, case, seed, offset)
+    assert over_bound(errors, SOFTMAX_REFERENCE[op, case], SOFTMAX_FACTOR) == []
+
+
+def test_softmax_precision_check_catches_sum64_in_storage_dtype(monkeypatch):
+    """Summing each row's 37 exponentials, and the backward's row sums, in
+    float32 breaks softmax_rows's bounds at the LM shape (about 1.9x and
+    1.8x their references at seed 0). The other cases move 1.5x or less."""
+    sum64_in_storage_dtype(monkeypatch)
+    assert over_bound(softmax_errors("softmax_rows", "lm", 0), SOFTMAX_REFERENCE["softmax_rows", "lm"],
+                      SOFTMAX_FACTOR) == ["out", "x"]
+
+
+def test_softmax_precision_check_catches_a_missing_row_max_shift(monkeypatch):
+    """Without the row-max shift, log_softmax_rows's x gradient at the LM
+    shape breaks its bound (about 1.7x at seed 0), and at logits offset by
+    30 both its bounds break on every case (7x to 11x). softmax_rows moves
+    1.12x or less at either offset: its float32 exp overflows only past 88."""
+    softmax_without_row_max_shift(monkeypatch)
+    assert over_bound(softmax_errors("log_softmax_rows", "lm", 0), SOFTMAX_REFERENCE["log_softmax_rows", "lm"],
+                      SOFTMAX_FACTOR) == ["x"]
+    for case in SOFTMAX_CASES:
+        errors = softmax_errors("log_softmax_rows", case, 0, offset=30.0)
+        assert over_bound(errors, SOFTMAX_REFERENCE["log_softmax_rows", case], SOFTMAX_FACTOR) == ["out", "x"]
