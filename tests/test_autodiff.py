@@ -313,7 +313,7 @@ def test_backward_runs_each_closure_once_and_keeps_the_tape():
     order = ad._topo_order(loss)
     before = [(n._op, n._parents, n.data.copy()) for n in order]
     loss.backward()
-    assert [n for n in ad._topo_order(loss)] == order
+    assert ad._topo_order(loss) == order
     for n, (op, parents, data) in zip(order, before):
         assert n._op == op and n._parents == parents
         np.testing.assert_array_equal(n.data, data)
@@ -581,9 +581,9 @@ def test_affine_bitwise_equals_matmul_plus_bias(x_shape, w_shape, trained, dtype
 @pytest.mark.parametrize("x_shape,w_shape", AFFINE_CASES)
 def test_affine_relu_bitwise_equals_relu_of_affine(x_shape, w_shape, dtype):
     """The fused layer gives the bytes of ``relu(affine(...))``: the output
-    and the gradients of x, w and b. Output column 0 is NaN before the ReLU,
-    columns 1 and 2 are +inf and -inf, column 3 is exactly 0 (a NaN, an
-    infinite or a zero bias over zero weights for column 3)."""
+    and the gradients of x, w and b. Before the ReLU, output column 0 is NaN
+    (a NaN bias), columns 1 and 2 are +inf and -inf (infinite biases) and
+    column 3 is exactly 0 (zero weights and bias)."""
     rng = Rng(33)
     x, w, b = (np.asarray(rng.normal(shape), dtype=dtype) for shape in (x_shape, w_shape, w_shape[-1:]))
     b[:3] = np.nan, np.inf, -np.inf
