@@ -7,11 +7,14 @@ scalar runs the tape once in reverse topological order, accumulating
 gradients additively at fan-out. Inside ``no_grad()`` no graph is
 recorded, for forwards whose graph nothing reads.
 
-Run-once rule: a graph is consumed by its backward. Each node's closure
-runs once and is then replaced by ``_consumed``, which frees the arrays it
-captured as the pass moves down the tape; ``.data``, ``_parents`` and
-``_op`` stay. A later ``backward()`` that reaches a consumed node, from
-the same root or from a new loss built on one of its nodes, raises
+Run-once rule: a graph is consumed by its backward, which releases the
+tape as it moves down it. Each node's closure runs once and is then
+replaced by ``_consumed``, and the node drops its parents, so the arrays
+the closure captured, and every node nothing else holds, are freed with
+their ``.data`` once the pass has left them. After ``backward()`` a walk
+over ``_parents`` from the root finds nothing; nodes the pass did not run
+keep their parents. A later ``backward()`` that reaches a consumed node,
+from the same root or from a new loss built on one of its nodes, raises
 ``GraphError`` before any gradient is written. Graphs that share only
 leaves still accumulate into the leaves' gradients.
 
@@ -20,7 +23,8 @@ hands its parent any array, a view of the upstream gradient included,
 and ``_accumulate`` keeps it uncopied or sums it into a new array.
 Forward data is overwritten only in an array the op has just made and
 no node has consumed yet (the ReLU of ``conv2d_relu`` and ``affine_relu``,
-``affine``'s bias).
+``affine``'s bias). Fused ops keep only what their backward reads:
+``add_layer_norm`` keeps no sum of its operands.
 
 Reductions accumulate in 64-bit regardless of the storage dtype.
 Softmax sets masked logits to NEG_INF and subtracts the row max before
@@ -141,12 +145,15 @@ class Tensor:
     def backward(self) -> None:
         """Reverse pass from a scalar; leaf grads accumulate across calls.
 
-        Runs each closure once: a node's closure is replaced by ``_consumed``
-        as soon as it has run, and an interior node's gradient is dropped
-        then too (every consumer of the node comes before it in reverse
-        order). A graph with a consumed node raises ``GraphError``, before
-        any gradient is written: a second ``backward()`` on the same root,
-        or on a new loss built on a node of a consumed graph."""
+        Runs each closure once and releases the tape as it goes: nodes are
+        popped off the topological order, and as soon as a node's closure
+        has run it is replaced by ``_consumed``, the node's parents are
+        dropped, and an interior node's gradient is dropped too (every
+        consumer of the node comes before it in reverse order). A node
+        nothing else holds is then freed with its ``.data``; the root keeps
+        its gradient. A graph with a consumed node raises ``GraphError``,
+        before any gradient is written: a second ``backward()`` on the same
+        root, or on a new loss built on a node of a consumed graph."""
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {self.data.shape}")
         order = _topo_order(self)
@@ -154,10 +161,12 @@ class Tensor:
             if node._backward_fn is _consumed:
                 _consumed(None)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
                 node._backward_fn = _consumed
+                node._parents = ()
                 if node is not self:
                     node.grad = None
 
@@ -557,32 +566,52 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray |
     return _make(out_data, (x,), backward_fn, "log_softmax_rows")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
+def _layer_norm(data: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, op: str) -> Tensor:
+    """Layer norm of the array ``data`` as one node on ``inputs``, gain and
+    bias; each of ``inputs`` gets the whole input gradient. The backward
+    holds ``xhat``, ``inv`` and the dtype, not ``data``."""
+    d = data.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+        raise DimensionError(f"{op} gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+    dtype = data.dtype
     # np.add.reduce(...) / d is what ndarray.mean computes, without its Python-level wrapper
-    mu = np.add.reduce(x.data, axis=-1, dtype=np.float64, keepdims=True) / d
-    centered = x.data.astype(np.float64) - mu
+    mu = np.add.reduce(data, axis=-1, dtype=np.float64, keepdims=True) / d
+    centered = data.astype(np.float64) - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = (1.0 / np.sqrt(var + LN_EPS)).astype(x.dtype)
-    xhat = (x.data - mu.astype(x.dtype)) * inv
+    inv = (1.0 / np.sqrt(var + LN_EPS)).astype(dtype)
+    xhat = (data - mu.astype(dtype)) * inv
     out_data = xhat * gain.data + bias.data
 
     def backward_fn(g):
-        if _needs_grad(x):
+        if _needs_grad(*inputs):
             dxhat = g * gain.data
-            m1 = (np.add.reduce(dxhat, axis=-1, dtype=np.float64, keepdims=True) / d).astype(x.dtype)
-            m2 = (np.add.reduce(dxhat * xhat, axis=-1, dtype=np.float64, keepdims=True) / d).astype(x.dtype)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            m1 = (np.add.reduce(dxhat, axis=-1, dtype=np.float64, keepdims=True) / d).astype(dtype)
+            m2 = (np.add.reduce(dxhat * xhat, axis=-1, dtype=np.float64, keepdims=True) / d).astype(dtype)
+            gx = inv * (dxhat - m1 - xhat * m2)
+            for t in inputs:
+                if _needs_grad(t):
+                    t._accumulate(gx)
         lead = tuple(range(g.ndim - 1))
         if _needs_grad(gain):
             gain._accumulate(_sum64(g * xhat, axis=lead))
         if _needs_grad(bias):
             bias._accumulate(_sum64(g, axis=lead))
 
-    return _make(out_data, (x, gain, bias), backward_fn, "layer_norm")
+    return _make(out_data, (*inputs, gain, bias), backward_fn, op)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    return _layer_norm(x.data, (x,), gain, bias, "layer_norm")
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``layer_norm(x + y, gain, bias)`` for two tensors of one shape, as one
+    node that keeps no sum: x and y both get its input gradient, as ``add``
+    passes its upstream gradient to both parents."""
+    if x.shape != y.shape:
+        raise DimensionError(f"add_layer_norm operands differ in shape: {x.shape} vs {y.shape}")
+    return _layer_norm(x.data + y.data, (x, y), gain, bias, "add_layer_norm")
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -663,6 +692,17 @@ def _tap_slices(k: int, stride: int, pad: int, size: int, out_size: int) -> list
     return slices
 
 
+def _phase_taps(k: int, stride: int, pad: int, size: int, out_size: int) -> list:
+    """``_tap_slices`` grouped by input phase ``y % stride``: per phase, in
+    kernel-offset order, the offset, its output positions and the positions
+    they land on in the phase's grid ``y // stride``."""
+    phases = [[] for _ in range(stride)]
+    for offset, (out_pos, in_pos) in enumerate(_tap_slices(k, stride, pad, size, out_size)):
+        start = in_pos.start // stride
+        phases[in_pos.start % stride].append((offset, out_pos, slice(start, start + out_pos.stop - out_pos.start)))
+    return phases
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution via im2col, channels last: [N, H, W, C] * [O, C, kh, kw] -> [N, Ho, Wo, O]."""
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -685,15 +725,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if _needs_grad(b):
             b._accumulate(_sum64(gmat, axis=0))
         if _needs_grad(x):
-            # one [rows, O] @ [O, C] GEMM per tap into one [rows, C] buffer, added straight into gx
+            # one [rows, O] @ [O, C] GEMM per tap into one [rows, C] buffer;
+            # the taps that land on one phase gx[:, py::s, px::s] are summed,
+            # in tap order, in one zeroed contiguous buffer, which then fills
+            # that phase of gx (at stride 1 the one phase is gx itself)
             n, h, wd, _ = x.shape
             wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
             tap = np.empty((n, ho, wo, c), dtype=np.result_type(gmat, wt))
-            gx = np.zeros(x.shape, dtype=tap.dtype)
-            for i, (out_rows, in_rows) in enumerate(_tap_slices(kh, stride, padding, h, ho)):
-                for j, (out_cols, in_cols) in enumerate(_tap_slices(kw, stride, padding, wd, wo)):
-                    np.matmul(gmat, wt[i, j], out=tap.reshape(-1, c))
-                    gx[:, in_rows, in_cols] += tap[:, out_rows, out_cols]
+            gx = np.empty(x.shape, dtype=tap.dtype)
+            phase = gx if stride == 1 else np.empty((n, -(-h // stride), -(-wd // stride), c), dtype=tap.dtype)
+            row_taps, col_taps = _phase_taps(kh, stride, padding, h, ho), _phase_taps(kw, stride, padding, wd, wo)
+            for py, px in itertools.product(range(stride), repeat=2):
+                buf = phase[:, : len(range(py, h, stride)), : len(range(px, wd, stride))]
+                buf[...] = 0
+                for i, out_rows, buf_rows in row_taps[py]:
+                    for j, out_cols, buf_cols in col_taps[px]:
+                        np.matmul(gmat, wt[i, j], out=tap.reshape(-1, c))
+                        buf[:, buf_rows, buf_cols] += tap[:, out_rows, out_cols]
+                if phase is not gx:
+                    gx[:, py::stride, px::stride] = buf
             x._accumulate(gx)
 
     return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")

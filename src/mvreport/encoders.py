@@ -122,9 +122,9 @@ def _encoder_layer(x: Tensor, params: dict, prefix: str, key_mask: np.ndarray) -
     k = ad.matmul(x, params[f"{prefix}.wk"])
     v = ad.matmul(x, params[f"{prefix}.wv"])
     attended = ad.scaled_dot_attention(q, k, v, key_mask=key_mask[:, None, :])
-    x = ad.layer_norm(x + ad.matmul(attended, params[f"{prefix}.wo"]),
-                      params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    return ad.layer_norm(x + _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    x = ad.add_layer_norm(x, ad.matmul(attended, params[f"{prefix}.wo"]),
+                          params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+    return ad.add_layer_norm(x, _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
 def encode_text(token_lists, params: dict, vocab, config: RunConfig) -> TextFeatures:

@@ -99,8 +99,8 @@ def bridge_forward(fused_vis: Tensor, indications: TextFeatures | None, params: 
     x = fused_vis
     for block in range(config.bridge_blocks):
         attended = ad.scaled_dot_attention(x, kv, kv, key_mask=key_mask)  # [B, p, dm]
-        x = ad.layer_norm(x + attended, params[f"stage2.bridge.b{block}.ln.g"],
-                          params[f"stage2.bridge.b{block}.ln.b"])
+        x = ad.add_layer_norm(x, attended, params[f"stage2.bridge.b{block}.ln.g"],
+                              params[f"stage2.bridge.b{block}.ln.b"])
     return x
 
 
@@ -193,14 +193,14 @@ def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, con
             v = ad.concat([past_v, v], axis=1)
         self_kv.append((k, v))
         attended = ad.scaled_dot_attention(q, k, v, key_mask=self_mask)
-        x = ad.layer_norm(x + ad.matmul(attended, params[f"{prefix}.self.wo"]),
-                          params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+        x = ad.add_layer_norm(x, ad.matmul(attended, params[f"{prefix}.self.wo"]),
+                              params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
         cq = ad.matmul(x, params[f"{prefix}.cross.wq"])
         ck, cv = cache.cross[layer]
         cross = ad.scaled_dot_attention(cq, ck, cv)
-        x = ad.layer_norm(x + ad.matmul(cross, params[f"{prefix}.cross.wo"]),
-                          params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-        x = ad.layer_norm(x + _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln3.g"], params[f"{prefix}.ln3.b"])
+        x = ad.add_layer_norm(x, ad.matmul(cross, params[f"{prefix}.cross.wo"]),
+                              params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+        x = ad.add_layer_norm(x, _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln3.g"], params[f"{prefix}.ln3.b"])
     cache.self_kv = self_kv
     cache.real_keys = real_keys
     return ad.affine(x, params["stage2.dec.out.w"], params["stage2.dec.out.b"])

@@ -101,7 +101,7 @@ def multi_view_fuse(vis: VisualFeatures, batch: Batch, params: dict) -> Tensor:
     queries = ad.reshape(anchor, (b, p, 1, d1))
     keys = ad.transpose(aux, (0, 2, 1, 3))  # [B_multi, p, A, d1]
     attended = ad.scaled_dot_attention(queries, keys, keys, key_mask=valid[:, None, None, :])  # [B_multi, p, 1, d1]
-    fused = ad.layer_norm(anchor + ad.reshape(attended, (b, p, d1)), gain, bias)
+    fused = ad.add_layer_norm(anchor, ad.reshape(attended, (b, p, d1)), gain, bias)
     # where(multi-view, fused, anchor) as a selection of rows, so that
     # single-view studies keep their anchor features exactly
     rows[multi] = vis.per_view.shape[0] + np.arange(b)

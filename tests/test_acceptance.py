@@ -208,6 +208,13 @@ def _op_cases(rng):
         dot = _dot(rng, (3, 2))
         return lambda: dot(ad.affine_relu(x, w, b)), [x, w, b]
 
+    def case_add_layer_norm():
+        x, y = _p(rng, (3, 5), std=2.0), _p(rng, (3, 5))
+        g = _p(rng, (5,), offset=1.0)
+        b = _p(rng, (5,))
+        dot = _dot(rng, (3, 5))
+        return lambda: dot(ad.add_layer_norm(x, y, g, b)), [x, y, g, b]
+
     return {
         "add": case_add, "sub": case_sub, "mul": case_mul, "div": case_div,
         "relu": case_relu, "exp": case_exp, "log": case_log,
@@ -219,7 +226,7 @@ def _op_cases(rng):
         "l2_normalize": case_l2_normalize, "attention": case_attention,
         "cross_entropy": case_cross_entropy, "conv2d": case_conv2d,
         "conv2d_relu": case_conv2d_relu, "affine": case_affine,
-        "affine_relu": case_affine_relu,
+        "affine_relu": case_affine_relu, "add_layer_norm": case_add_layer_norm,
     }
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -129,6 +130,52 @@ def test_layer_norm_bitwise_equals_ndarray_mean_formulas(shape, dtype):
 def test_layer_norm_shape_error():
     with pytest.raises(DimensionError):
         ad.layer_norm(ad.constant(np.zeros((2, 4))), ad.constant(np.ones(3)), ad.constant(np.zeros(3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("shape", [(6, 4), (3, 7, 4), (256, 24, 64), (178, 16, 64)])
+def test_add_layer_norm_bitwise_equals_layer_norm_of_the_sum(shape, dtype):
+    """The fused node gives the bytes of ``layer_norm(x + y)``: the output and
+    the gradients of x, y, gain and bias."""
+    rng = Rng(16)
+    x, y, g = (np.asarray(rng.normal(shape, std=2.0), dtype=dtype) for _ in range(3))
+    gain = np.asarray(rng.normal(shape[-1:]) + 1.0, dtype=dtype)
+    bias = np.asarray(rng.normal(shape[-1:]), dtype=dtype)
+    results = []
+    for norm in (ad.add_layer_norm, lambda a, b, *affine: ad.layer_norm(a + b, *affine)):
+        tensors = [ad.parameter(a, dtype=dtype) for a in (x, y, gain, bias)]
+        out = norm(*tensors)
+        ad.tsum(out * ad.constant(g, dtype=dtype)).backward()
+        results.append((out.data, *(t.grad for t in tensors)))
+    assert_same_bytes(*results, dtype)
+
+
+def test_add_layer_norm_rejects_operands_of_different_shapes():
+    gain, bias = ad.constant(np.ones(4)), ad.constant(np.zeros(4))
+    with pytest.raises(DimensionError, match="add_layer_norm operands differ"):
+        ad.add_layer_norm(ad.constant(np.zeros((2, 4))), ad.constant(np.zeros((1, 4))), gain, bias)
+    with pytest.raises(DimensionError, match="add_layer_norm gain/bias"):
+        ad.add_layer_norm(ad.constant(np.zeros((2, 4))), ad.constant(np.zeros((2, 4))), gain, ad.constant(np.zeros(3)))
+
+
+def test_add_layer_norm_holds_no_sum():
+    """At x [256, 24, 64] float32, the fused node holds its output and xhat
+    (1.5 MiB each) plus one scale per row; ``layer_norm(x + y)`` also holds
+    the sum, in the add node."""
+    rng = Rng(17)
+    x, y = (ad.parameter(np.asarray(rng.normal((256, 24, 64)), dtype=np.float32)) for _ in range(2))
+    gain, bias = ad.parameter(np.ones(64, dtype=np.float32)), ad.parameter(np.zeros(64, dtype=np.float32))
+    held = []
+    for norm in (ad.add_layer_norm, lambda a, b, *affine: ad.layer_norm(a + b, *affine)):
+        tracemalloc.start()
+        try:
+            out = norm(x, y, gain, bias)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del out
+    size = x.data.nbytes
+    assert held[0] < 2.1 * size and held[1] > 3 * size, held
 
 
 def test_l2_normalize_triangle():
@@ -293,9 +340,9 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
     h = ad.relu(x * 2.0)
     loss = ad.tsum(ad.narrow(h, 0, 0, 2)) + ad.tsum(h * h)
-    loss.backward()
     interior = [n for n in ad._topo_order(loss) if n._backward_fn is not None and n is not loss]
     assert len(interior) == 6
+    loss.backward()
     assert all(n.grad is None for n in interior)
     np.testing.assert_array_equal(loss.grad, 1.0)
     np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
@@ -304,22 +351,31 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
 
 
-def test_backward_runs_each_closure_once_and_keeps_the_tape():
-    """After backward every closure that ran is ``_consumed``; the tape a
-    walk over ``_parents`` sees (nodes, ops, data) is unchanged."""
+def test_backward_releases_the_tape_as_it_runs():
+    """After backward the forward arrays of interior nodes nobody holds are
+    freed; a node the caller holds, and the root, have no parents and a
+    ``_consumed`` closure, so a walk from the root finds nothing. Reuse
+    still raises, and the root and leaf gradients are those of the pass."""
     x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
     h = ad.relu(x * 2.0)
     loss = ad.tsum(ad.narrow(h, 0, 0, 2)) + ad.tsum(h * h)
     order = ad._topo_order(loss)
-    before = [(n._op, n._parents, n.data.copy()) for n in order]
+    unheld = [weakref.ref(n.data) for n in order if n._parents and n is not h and n is not loss]
+    assert len(unheld) == 5
+    del order
     loss.backward()
-    assert ad._topo_order(loss) == order
-    for n, (op, parents, data) in zip(order, before):
-        assert n._op == op and n._parents == parents
-        np.testing.assert_array_equal(n.data, data)
-    ran = [n for n in order if n._parents]
-    assert len(ran) == 7 and all(n._backward_fn is ad._consumed for n in ran)
-    assert x._backward_fn is None
+    assert [r() for r in unheld] == [None] * 5
+    for held in (h, loss):
+        assert held._parents == () and held._backward_fn is ad._consumed
+    assert ad._topo_order(loss) == [loss]
+    assert x._backward_fn is None and x._parents == ()
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
+    for reuse in (loss, ad.tsum(h * 3.0)):
+        with pytest.raises(GraphError, match="consumed"):
+            reuse.backward()
+    np.testing.assert_array_equal(loss.grad, 1.0)
+    np.testing.assert_array_equal(x.grad, [2.0 + 8.0, 0.0, 24.0])
 
 
 def test_second_backward_on_the_same_root_raises_before_writing_a_gradient():

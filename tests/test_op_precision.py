@@ -7,6 +7,9 @@ and every error may be at most ``FACTOR`` times its reference: over seeds
 0-9 the largest error was 1.33x its seed-0 value (the conv bias gradient;
 for layer_norm, 1.31x, also the bias gradient). The softmax errors spread
 less, at most 1.05x over seeds 0-9, so they take ``SOFTMAX_FACTOR``.
+tmean and l2_normalize spread at most 1.11x. cross_entropy_rows's errors
+depend on a few values each, so its references are float32's machine
+epsilon, not seed-0 readings; tmean's x gradient is exact.
 """
 
 import numpy as np
@@ -40,6 +43,21 @@ SOFTMAX_REFERENCE = {
     ("log_softmax_rows", "mpc"): {"out": 3.220e-8, "x": 2.910e-8},
     ("log_softmax_rows", "lm"): {"out": 3.550e-8, "x": 4.132e-8},
 }
+
+
+# cross_entropy_rows at the MPC's [416, 415] (100 three-view and 58 two-view
+# studies; q is a softmax at temperature 0.5): its tsum adds all 172 640
+# entries. The output is one scalar, and the q gradient's norm is set by the
+# few entries where p is nonzero and q smallest, so each error depends on
+# where a few values fall between two float32 numbers: over seeds 0-29 the
+# output read 4.8e-9 to 1.17e-7, and over seeds 0-19 the q gradient 2.2e-8
+# to 8.9e-8. Both references are float32's machine epsilon.
+CROSS_ENTROPY_REFERENCE = {"out": 2.0 ** -23, "q": 2.0 ** -23}
+# tmean over axis 1 at [505, 16, 64] (a view's mean over its 16 positions):
+# the x gradient is g / 16 broadcast, exact in float32
+TMEAN_REFERENCE = {"out": 2.536e-8, "x": 0.0}
+# l2_normalize at [256, 64] (the global embeddings): each row sums 64 products
+L2_NORMALIZE_REFERENCE = {"out": 3.729e-8, "x": 4.649e-8}
 
 
 def relative_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -92,6 +110,38 @@ def softmax_errors(op: str, case: str, seed: int, offset: float = 0.0) -> dict:
         keep = (np.arange(shape[-1]) < lengths[:, None])[:, None, :]
         return float32_errors(lambda t: getattr(ad, op)(t, temperature, keep) * keep, (x,), g * keep, ("out", "x"))
     return float32_errors(lambda t: getattr(ad, op)(t, temperature), (x,), g, ("out", "x"))
+
+
+def cross_entropy_errors(seed: int) -> dict:
+    """Relative float32 error of cross_entropy_rows's output and q gradient
+    against the MPC's constant target."""
+    rng = Rng(seed)
+    study = np.repeat(np.arange(158), [3] * 100 + [2] * 58)
+    same = study[:, None] == study[None, :]
+    off_diag = ~np.eye(416, dtype=bool)
+    p = same[off_diag].reshape(416, 415).astype(np.float32)
+    p /= p.sum(axis=1, keepdims=True)
+    z = np.asarray(rng.normal((416, 415), std=0.5), dtype=np.float64) / 0.5
+    q = np.exp(z - z.max(axis=1, keepdims=True))
+    q = (q / q.sum(axis=1, keepdims=True)).astype(np.float32)
+    g = np.asarray(rng.normal(()), dtype=np.float32)
+    return float32_errors(lambda t: ad.cross_entropy_rows(ad.constant(p, dtype=t.dtype), t), (q,), g, ("out", "q"))
+
+
+def tmean_errors(seed: int) -> dict:
+    """Relative float32 error of tmean's output and x gradient over axis 1."""
+    rng = Rng(seed)
+    x = np.asarray(rng.normal((505, 16, 64)), dtype=np.float32)
+    g = np.asarray(rng.normal((505, 64)), dtype=np.float32)
+    return float32_errors(lambda t: ad.tmean(t, axis=1), (x,), g, ("out", "x"))
+
+
+def l2_normalize_errors(seed: int) -> dict:
+    """Relative float32 error of l2_normalize's output and x gradient."""
+    rng = Rng(seed)
+    x = np.asarray(rng.normal((256, 64)), dtype=np.float32)
+    g = np.asarray(rng.normal((256, 64)), dtype=np.float32)
+    return float32_errors(ad.l2_normalize, (x,), g, ("out", "x"))
 
 
 def over_bound(errors: dict, reference: dict, factor: float = FACTOR) -> list:
@@ -161,3 +211,28 @@ def test_softmax_precision_check_catches_a_missing_row_max_shift(monkeypatch):
     for case in SOFTMAX_CASES:
         errors = softmax_errors("log_softmax_rows", case, 0, offset=30.0)
         assert over_bound(errors, SOFTMAX_REFERENCE["log_softmax_rows", case], SOFTMAX_FACTOR) == ["out", "x"]
+
+
+REDUCTION_CASES = {
+    "cross_entropy_rows": (cross_entropy_errors, CROSS_ENTROPY_REFERENCE),
+    "tmean": (tmean_errors, TMEAN_REFERENCE),
+    "l2_normalize": (l2_normalize_errors, L2_NORMALIZE_REFERENCE),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("op", REDUCTION_CASES)
+def test_reduction_float32_error_stays_within_factor_of_reference(op, seed):
+    errors_at, reference = REDUCTION_CASES[op]
+    assert over_bound(errors_at(seed), reference) == []
+
+
+def test_reduction_precision_checks_against_sum64_in_storage_dtype(monkeypatch):
+    """Summed in float32, tmean's 16 rows per output break its output bound
+    (about 3x its reference at seed 0). The other two sums run along the
+    contiguous last axis or over the whole array, where NumPy sums float32
+    pairwise: cross_entropy_rows reads the same bytes, and l2_normalize moves
+    1.09x, so neither catches this mutant."""
+    sum64_in_storage_dtype(monkeypatch)
+    caught = {op: over_bound(errors_at(0), reference) for op, (errors_at, reference) in REDUCTION_CASES.items()}
+    assert caught == {"cross_entropy_rows": [], "tmean": ["out"], "l2_normalize": []}
