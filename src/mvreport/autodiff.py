@@ -5,7 +5,10 @@ supported for verification). The graph is rebuilt per step: every op
 records its parents and a backward closure, and ``backward()`` on a
 scalar runs the tape once in reverse topological order, accumulating
 gradients additively at fan-out. Inside ``no_grad()`` no graph is
-recorded, for forwards whose graph nothing reads.
+recorded, for forwards whose graph nothing reads, and ops skip the work
+only their backward reads. ``attention_kernel`` and ``layer_norm_kernel``
+are the forward arithmetic of ``scaled_dot_attention`` and ``layer_norm``
+on plain arrays, for callers that build no nodes at all.
 
 Run-once rule: a graph is consumed by its backward, which releases the
 tape as it moves down it. Each node's closure runs once and is then
@@ -111,7 +114,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward_fn=None, _op=""):
         if dtype is None:
             dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64) else DEFAULT_DTYPE
-        self.data = np.asarray(data, dtype=dtype)
+        # np.asarray would return such an array as it is, only slower
+        self.data = data if type(data) is np.ndarray and data.dtype == dtype else np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
@@ -258,10 +262,26 @@ def _needs_grad(*tensors) -> bool:
     return False
 
 
-def _make(data, parents, backward_fn, op) -> Tensor:
+def _recording(*tensors) -> bool:
+    """Whether an op on ``tensors`` records a node: its backward-only work can be skipped otherwise."""
+    return GRAD_ENABLED and _needs_grad(*tensors)
+
+
+def _make(data, parents: tuple, backward_fn, op) -> Tensor:
+    """The op's output node over ``data``; it records ``parents`` and
+    ``backward_fn`` only when one of them needs a gradient and a graph is
+    recorded. A non-ndarray (a full reduction returns a NumPy scalar) is
+    wrapped as a 0-d array. Fills the slots directly: this runs per op."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.requires_grad = False
+    out.grad = None
     if GRAD_ENABLED and _needs_grad(*parents):
-        return Tensor(data, dtype=data.dtype, _parents=tuple(parents), _backward_fn=backward_fn, _op=op)
-    return Tensor(data, dtype=data.dtype, _op=op)
+        out._parents, out._backward_fn = parents, backward_fn
+    else:
+        out._parents, out._backward_fn = (), None
+    out._op = op
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -278,8 +298,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _sum64(x: np.ndarray, axis=None, keepdims=False) -> np.ndarray:
-    """Reduction with 64-bit accumulation, cast back to the input dtype."""
-    return x.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
+    """Reduction with 64-bit accumulation, cast back to the input dtype
+    (np.add.reduce is what ndarray.sum calls, without its Python-level wrapper)."""
+    return np.add.reduce(x, axis=axis, dtype=np.float64, keepdims=keepdims).astype(x.dtype)
 
 
 # -- elementwise ----------------------------------------------------------
@@ -377,6 +398,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     out_data = a.data.transpose(axes)
+    if not _recording(a):
+        return _make(out_data, (), None, "transpose")
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))  # np.argsort is slower on a tuple
 
     def backward_fn(g):
@@ -397,9 +420,8 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def swap_last2(a: Tensor) -> Tensor:
-    axes = list(range(a.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(a, axes)
+    n = a.data.ndim
+    return transpose(a, (*range(n - 2), n - 1, n - 2))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -434,8 +456,9 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows along axis 0 (embedding lookup); scatter-add backward."""
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= a.shape[0]):
-        raise DimensionError(f"gather_rows ids must lie in [0, {a.shape[0]}), got {indices.min()}..{indices.max()}")
+    rows = a.data.shape[0]
+    if indices.size and (indices.min() < 0 or indices.max() >= rows):
+        raise DimensionError(f"gather_rows ids must lie in [0, {rows}), got {indices.min()}..{indices.max()}")
     out_data = a.data[indices]
 
     def backward_fn(g):
@@ -461,6 +484,8 @@ def take_last(a: Tensor, indices) -> Tensor:
     """Pick one entry per row along the last axis (for NLL extraction)."""
     indices = np.asarray(indices, dtype=np.int64)
     out_data = np.take_along_axis(a.data, np.expand_dims(indices, axis=-1), axis=-1).squeeze(-1)
+    if not _recording(a):
+        return _make(out_data, (), None, "take_last")
     picked = (*np.indices(indices.shape, sparse=True), indices)  # one distinct entry per row
 
     def backward_fn(g):
@@ -493,14 +518,15 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul requires >=2-D tensors, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise DimensionError(f"matmul requires >=2-D tensors, got {a_shape} and {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
+        raise DimensionError(f"matmul inner dimensions differ: {a_shape} vs {b_shape}")
     try:
         out_data = np.matmul(a.data, b.data)
     except ValueError as err:
-        raise DimensionError(f"matmul batch dims incompatible: {a.shape} vs {b.shape}") from err
+        raise DimensionError(f"matmul batch dims incompatible: {a_shape} vs {b_shape}") from err
 
     def backward_fn(g):
         if b.data.ndim == 2:
@@ -526,24 +552,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- normalizations and fused ops ---------------------------------------------
 
 
-def _shifted_logits(x: Tensor, temperature: float, key_mask) -> np.ndarray:
+def _shifted_logits(x: np.ndarray, temperature: float, key_mask) -> np.ndarray:
     """``x / temperature`` with masked entries set to ``NEG_INF``, minus the row max."""
     if temperature <= 0:
         raise ParameterError(f"softmax temperature must be positive, got {temperature}")
-    z = x.data / temperature
+    z = x if temperature == 1.0 else x / temperature  # dividing by 1.0 is exact
     if key_mask is not None:
         key_mask = np.asarray(key_mask)
         if key_mask.dtype != bool:
             raise ParameterError(f"key_mask must be boolean, got dtype {key_mask.dtype}")
         z = np.where(key_mask, z, NEG_INF)
-    return z - z.max(axis=-1, keepdims=True)
+    return z - np.maximum.reduce(z, axis=-1, keepdims=True)  # ndarray.max without its Python-level wrapper
+
+
+def _softmax(x: np.ndarray, temperature: float, key_mask) -> np.ndarray:
+    e = np.exp(_shifted_logits(x, temperature, key_mask))
+    return (e / _sum64(e, axis=-1, keepdims=True)).astype(x.dtype, copy=False)
 
 
 def softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | None = None) -> Tensor:
     """Row softmax over the last axis of logits divided by ``temperature``; where the boolean
     ``key_mask`` (broadcastable to ``x``) is False, the weight is exactly 0 if the row has a True entry."""
-    e = np.exp(_shifted_logits(x, temperature, key_mask))
-    out_data = (e / _sum64(e, axis=-1, keepdims=True)).astype(x.dtype, copy=False)
+    out_data = _softmax(x.data, temperature, key_mask)
 
     def backward_fn(g):
         inner = _sum64(g * out_data, axis=-1, keepdims=True)
@@ -554,9 +584,11 @@ def softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | Non
 
 def log_softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray | None = None) -> Tensor:
     """Row log-softmax, as ``softmax_rows``; outputs at masked entries are very negative, not meaningful."""
-    z = _shifted_logits(x, temperature, key_mask)
+    z = _shifted_logits(x.data, temperature, key_mask)
     lse = np.log(_sum64(np.exp(z), axis=-1, keepdims=True))
     out_data = (z - lse).astype(x.dtype, copy=False)
+    if not _recording(x):
+        return _make(out_data, (), None, "log_softmax_rows")
     soft = np.exp(out_data)
 
     def backward_fn(g):
@@ -566,13 +598,9 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0, key_mask: np.ndarray |
     return _make(out_data, (x,), backward_fn, "log_softmax_rows")
 
 
-def _layer_norm(data: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, op: str) -> Tensor:
-    """Layer norm of the array ``data`` as one node on ``inputs``, gain and
-    bias; each of ``inputs`` gets the whole input gradient. The backward
-    holds ``xhat``, ``inv`` and the dtype, not ``data``."""
+def _layer_norm_parts(data: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
+    """Layer norm of ``data`` over its last axis, with the ``xhat`` and ``inv`` its backward reads."""
     d = data.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(f"{op} gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     dtype = data.dtype
     # np.add.reduce(...) / d is what ndarray.mean computes, without its Python-level wrapper
     mu = np.add.reduce(data, axis=-1, dtype=np.float64, keepdims=True) / d
@@ -580,7 +608,24 @@ def _layer_norm(data: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, op:
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = (1.0 / np.sqrt(var + LN_EPS)).astype(dtype)
     xhat = (data - mu.astype(dtype)) * inv
-    out_data = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_kernel(data: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``layer_norm`` on arrays, with the same arithmetic; records nothing."""
+    return _layer_norm_parts(data, gain, bias)[0]
+
+
+def _layer_norm(data: np.ndarray, inputs: tuple, gain: Tensor, bias: Tensor, op: str) -> Tensor:
+    """Layer norm of the array ``data`` as one node on ``inputs``, gain and
+    bias; each of ``inputs`` gets the whole input gradient. The backward
+    holds ``xhat``, ``inv`` and the dtype, not ``data``."""
+    d = data.shape[-1]
+    gain_shape, bias_shape = gain.data.shape, bias.data.shape
+    if gain_shape != (d,) or bias_shape != (d,):
+        raise DimensionError(f"{op} gain/bias must have shape ({d},), got {gain_shape} and {bias_shape}")
+    out_data, xhat, inv = _layer_norm_parts(data, gain.data, bias.data)
+    dtype = data.dtype
 
     def backward_fn(g):
         if _needs_grad(*inputs):
@@ -609,8 +654,8 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``layer_norm(x + y, gain, bias)`` for two tensors of one shape, as one
     node that keeps no sum: x and y both get its input gradient, as ``add``
     passes its upstream gradient to both parents."""
-    if x.shape != y.shape:
-        raise DimensionError(f"add_layer_norm operands differ in shape: {x.shape} vs {y.shape}")
+    if x.data.shape != y.data.shape:
+        raise DimensionError(f"add_layer_norm operands differ in shape: {x.data.shape} vs {y.data.shape}")
     return _layer_norm(x.data + y.data, (x, y), gain, bias, "add_layer_norm")
 
 
@@ -632,6 +677,14 @@ def l2_normalize(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward_fn, "l2_normalize")
 
 
+def attention_kernel(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_mask: np.ndarray | None) -> np.ndarray:
+    """``scaled_dot_attention`` on arrays, with the same arithmetic as its
+    matmul, mul, softmax_rows and matmul nodes; checks and records nothing."""
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores *= np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=scores.dtype)
+    return np.matmul(_softmax(scores, 1.0, key_mask), v)
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
     """softmax(q @ k^T / sqrt(d)) @ v over the last two axes.
 
@@ -640,15 +693,19 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask: np.ndarray |
     applies it, so masked keys get weight exactly 0; every query needs at
     least one attendable key.
     """
-    if k.shape[-2] == 0:
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    if k_shape[-2] == 0:
         raise EmptyKeyError("scaled_dot_attention called with zero keys")
-    d = q.shape[-1]
-    if k.shape[-1] != d:
-        raise DimensionError(f"attention dims differ: q {q.shape}, k {k.shape}")
-    if v.shape[-2] != k.shape[-2]:
-        raise DimensionError(f"keys/values length mismatch: k {k.shape}, v {v.shape}")
-    scores = matmul(q, swap_last2(k)) * (1.0 / math.sqrt(d))
-    return matmul(softmax_rows(scores, key_mask=key_mask), v)
+    d = q_shape[-1]
+    if k_shape[-1] != d:
+        raise DimensionError(f"attention dims differ: q {q_shape}, k {k_shape}")
+    if v_shape[-2] != k_shape[-2]:
+        raise DimensionError(f"keys/values length mismatch: k {k_shape}, v {v_shape}")
+    if not _recording(q, k, v):
+        return _make(attention_kernel(q.data, k.data, v.data, key_mask), (), None, "scaled_dot_attention")
+    scores = matmul(q, swap_last2(k))
+    scale = Tensor(np.asarray(1.0 / math.sqrt(d), dtype=scores.data.dtype))
+    return matmul(softmax_rows(mul(scores, scale), key_mask=key_mask), v)
 
 
 def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
@@ -774,8 +831,8 @@ def conv2d_relu(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int =
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis, as one node that holds one array: the
     bias ``[k]`` is added in place to the matmul's fresh output."""
-    if b.shape != w.shape[-1:]:
-        raise DimensionError(f"affine bias must have shape {w.shape[-1:]}, got {b.shape}")
+    if b.data.shape != w.data.shape[-1:]:
+        raise DimensionError(f"affine bias must have shape {w.data.shape[-1:]}, got {b.data.shape}")
     product = matmul(x, w)
     product.data += b.data
     matmul_backward = product._backward_fn

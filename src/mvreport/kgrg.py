@@ -12,7 +12,7 @@ from .autodiff import Tensor
 from .config import RunConfig
 from .data import Batch, stack_views
 from .encoders import ParamInit, TextFeatures, _mlp, encode_text, encode_views
-from .errors import DimensionError, NumericalAbort
+from .errors import DimensionError, GraphError, NumericalAbort
 from .mvcl import multi_view_fuse
 from .rng import Rng
 from .text import BOS_ID, EOS_ID, PAD_ID, pad_ids, tokenize
@@ -114,37 +114,106 @@ def stage2_knowledge(batch: Batch, params: dict, vocab, config: RunConfig) -> Te
 
 @dataclass
 class DecoderCache:
-    """Incremental decoding state, one row per decoded sequence.
+    """Incremental decoding state, one row per decoded sequence; inference only.
 
-    ``cross`` holds each layer's cross-attention keys/values over
-    [knowledge ; memory], projected on the first call. ``self_kv`` holds
-    each layer's self-attention keys/values of the positions decoded so
-    far, and ``real_keys`` [rows, positions] which of them are not PAD.
+    ``weights`` holds each layer's weight arrays by short name, looked up
+    once, so a cache belongs to one parameter dict. ``cross`` holds each
+    layer's cross-attention key/value arrays over [knowledge ; memory],
+    and ``self_kv`` each layer's self-attention key and value buffers
+    [rows, max_tokens + 1, dm]; ``real_keys`` [rows, max_tokens + 1] marks
+    which positions are not PAD. The first call fills ``weights`` and
+    ``cross`` and allocates the buffers; every call writes its positions
+    into them in place, so the first ``length`` positions are filled. The
+    buffers are plain arrays, which keep no gradient path through past
+    positions: ``decoder_forward`` with a cache runs only under
+    ``ad.no_grad()``, and raises ``GraphError`` while a graph is recorded.
     """
 
+    weights: list = field(default_factory=list)
     cross: list = field(default_factory=list)
     self_kv: list = field(default_factory=list)
     real_keys: np.ndarray = field(default_factory=lambda: np.zeros((1, 0), dtype=bool))
-
-    @property
-    def length(self) -> int:
-        return self.real_keys.shape[1]
+    length: int = 0
 
     def reorder(self, rows) -> None:
         """Keep the given rows of the cache, in order (a row may repeat):
         cross-attention and self-attention keys/values and the PAD mask
-        alike. The result records no graph."""
+        alike. The self-attention buffers are new ones, into which only
+        the filled positions are copied."""
         rows = np.asarray(rows, dtype=np.int64)
         if np.array_equal(rows, np.arange(len(self.real_keys))):
             return
+        filled = self.length
 
-        def keep(pairs):
-            return [(ad.constant(k.data[rows], dtype=k.dtype), ad.constant(v.data[rows], dtype=v.dtype))
-                    for k, v in pairs]
+        def keep(buf):
+            out = np.empty((len(rows),) + buf.shape[1:], dtype=buf.dtype)
+            out[:, :filled] = buf[rows, :filled]
+            return out
 
-        self.cross = keep(self.cross)
-        self.self_kv = keep(self.self_kv)
-        self.real_keys = self.real_keys[rows]
+        self.cross = [(k[rows], v[rows]) for k, v in self.cross]
+        self.self_kv = [(keep(k), keep(v)) for k, v in self.self_kv]
+        self.real_keys = keep(self.real_keys)
+
+
+def _self_attention_mask(real_keys: np.ndarray, offset: int, t: int) -> np.ndarray:
+    """[rows, t, offset + t]: query i attends to the keys up to its own
+    position offset + i that are not PAD, and always to itself."""
+    if t == 1:  # the one query follows every key
+        mask = real_keys[:, None, :offset + 1].copy()
+        mask[:, :, offset] = True
+        return mask
+    mask = np.tri(t, offset + t, k=offset, dtype=bool) & real_keys[:, None, :offset + t]
+    diag = np.arange(t)
+    mask[:, diag, offset + diag] = True
+    return mask
+
+
+# the per-layer weights a cached decoder step reads, by their names after "stage2.dec.l{layer}."
+_LAYER_WEIGHTS = ("self.wq", "self.wk", "self.wv", "self.wo", "cross.wq", "cross.wo",
+                  "ln1.g", "ln1.b", "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln3.g", "ln3.b")
+
+
+def _cached_decoder_step(ids: np.ndarray, knowledge: Tensor, params: dict, config: RunConfig,
+                         cache: DecoderCache) -> np.ndarray:
+    """``decoder_forward``'s layers on arrays for the positions ``ids``
+    after the cached ones: the arithmetic of the ops the uncached call
+    records, op by op, with no nodes. Updates ``cache``."""
+    t = ids.shape[1]
+    offset = cache.length
+    length = offset + t
+    x = ad.gather_rows(params["stage2.dec.embed"], ids).data + params["stage2.dec.pos"].data[offset:length]
+    if not offset:  # the first call: look up the weights, project the cross keys/values, allocate the buffers
+        memory = params["stage2.dec.memory"].data
+        kv_source = np.concatenate([knowledge.data, np.broadcast_to(memory, (len(knowledge.data),) + memory.shape)],
+                                   axis=1)
+        shape = (len(ids), config.max_tokens + 1, x.shape[-1])
+        cache.weights = [{name: params[f"stage2.dec.l{layer}.{name}"].data for name in _LAYER_WEIGHTS}
+                         for layer in range(config.dec_layers)]
+        cache.cross = [(kv_source @ params[f"stage2.dec.l{layer}.cross.wk"].data,
+                        kv_source @ params[f"stage2.dec.l{layer}.cross.wv"].data) for layer in range(config.dec_layers)]
+        cache.self_kv = [(np.empty(shape, dtype=x.dtype), np.empty(shape, dtype=x.dtype))
+                         for _ in range(config.dec_layers)]
+        cache.real_keys = np.zeros(shape[:2], dtype=bool)
+    cache.real_keys[:, offset:length] = ids != PAD_ID
+    self_mask = _self_attention_mask(cache.real_keys, offset, t)
+    for w, (ck, cv), (k_buf, v_buf) in zip(cache.weights, cache.cross, cache.self_kv):
+        q = x @ w["self.wq"]
+        k_buf[:, offset:length] = x @ w["self.wk"]
+        v_buf[:, offset:length] = x @ w["self.wv"]
+        attended = ad.attention_kernel(q, k_buf[:, :length], v_buf[:, :length], self_mask)
+        x = ad.layer_norm_kernel(x + attended @ w["self.wo"], w["ln1.g"], w["ln1.b"])
+        cross = ad.attention_kernel(x @ w["cross.wq"], ck, cv, None)
+        x = ad.layer_norm_kernel(x + cross @ w["cross.wo"], w["ln2.g"], w["ln2.b"])
+        hidden = x @ w["ffn.w1"]
+        hidden += w["ffn.b1"]
+        np.maximum(hidden, 0, out=hidden)
+        ffn = hidden @ w["ffn.w2"]
+        ffn += w["ffn.b2"]
+        x = ad.layer_norm_kernel(x + ffn, w["ln3.g"], w["ln3.b"])
+    cache.length = length
+    logits = x @ params["stage2.dec.out.w"].data
+    logits += params["stage2.dec.out.b"].data
+    return logits
 
 
 def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, config: RunConfig,
@@ -153,56 +222,43 @@ def decoder_forward(prefix_ids: np.ndarray, knowledge: Tensor, params: dict, con
 
     Without ``cache``, ``prefix_ids`` is the whole prefix. With ``cache``,
     it holds only the new positions: they follow the cached ones, attend
-    to their keys/values under the cached PAD mask, and are appended to
-    the cache. Cross-attention keys/values are the knowledge tokens
-    concatenated with the learnable memory rows, projected once per cache.
+    to their keys/values under the cached PAD mask, and are written into
+    the cache; a cached call records no graph and raises ``GraphError``
+    outside ``ad.no_grad()`` (see ``DecoderCache``). Cross-attention
+    keys/values are the knowledge tokens concatenated with the learnable
+    memory rows, projected once per cache.
     """
     ids = np.asarray(prefix_ids, dtype=np.int64)
     t = ids.shape[1]
-    if cache is None:
-        cache = DecoderCache()
-    offset = cache.length
+    offset = 0 if cache is None else cache.length
     if offset + t > config.max_tokens + 1:
         raise DimensionError(f"prefix length {offset + t} exceeds max context {config.max_tokens + 1}")
+    if cache is not None:
+        if ad.GRAD_ENABLED:
+            raise GraphError("cached decoding records no graph: call decoder_forward with a cache under no_grad()")
+        return Tensor(_cached_decoder_step(ids, knowledge, params, config, cache))
     x = ad.gather_rows(params["stage2.dec.embed"], ids)
-    pos = ad.narrow(params["stage2.dec.pos"], 0, offset, t)
-    x = x + ad.reshape(pos, (1, t, x.shape[-1]))
+    x = ad.add(x, ad.narrow(params["stage2.dec.pos"], 0, 0, t))  # [B, t, dm] + [t, dm]
+    self_mask = _self_attention_mask(ids != PAD_ID, 0, t)
 
-    real_keys = np.concatenate([cache.real_keys, ids != PAD_ID], axis=1) if offset else ids != PAD_ID
-    self_mask = np.tri(t, offset + t, k=offset, dtype=bool) & real_keys[:, None, :]  # causal, real keys
-    # every query may at least attend to itself
-    diag = np.arange(t)
-    self_mask[:, diag, offset + diag] = True
-
-    if not cache.cross:
-        memory = params["stage2.dec.memory"]
-        mem_rows = ad.broadcast_to(memory, (knowledge.shape[0],) + memory.shape)  # [B, R, dm]
-        kv_source = ad.concat([knowledge, mem_rows], axis=1)
-        cache.cross = [(ad.matmul(kv_source, params[f"stage2.dec.l{layer}.cross.wk"]),
-                        ad.matmul(kv_source, params[f"stage2.dec.l{layer}.cross.wv"]))
-                       for layer in range(config.dec_layers)]
-    self_kv = []
+    memory = params["stage2.dec.memory"]
+    mem_rows = ad.broadcast_to(memory, (knowledge.shape[0],) + memory.shape)  # [B, R, dm]
+    kv_source = ad.concat([knowledge, mem_rows], axis=1)
     for layer in range(config.dec_layers):
         prefix = f"stage2.dec.l{layer}"
         q = ad.matmul(x, params[f"{prefix}.self.wq"])
         k = ad.matmul(x, params[f"{prefix}.self.wk"])
         v = ad.matmul(x, params[f"{prefix}.self.wv"])
-        if offset:
-            past_k, past_v = cache.self_kv[layer]
-            k = ad.concat([past_k, k], axis=1)
-            v = ad.concat([past_v, v], axis=1)
-        self_kv.append((k, v))
         attended = ad.scaled_dot_attention(q, k, v, key_mask=self_mask)
         x = ad.add_layer_norm(x, ad.matmul(attended, params[f"{prefix}.self.wo"]),
                               params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
         cq = ad.matmul(x, params[f"{prefix}.cross.wq"])
-        ck, cv = cache.cross[layer]
+        ck = ad.matmul(kv_source, params[f"{prefix}.cross.wk"])
+        cv = ad.matmul(kv_source, params[f"{prefix}.cross.wv"])
         cross = ad.scaled_dot_attention(cq, ck, cv)
         x = ad.add_layer_norm(x, ad.matmul(cross, params[f"{prefix}.cross.wo"]),
                               params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
         x = ad.add_layer_norm(x, _mlp(x, params, f"{prefix}.ffn"), params[f"{prefix}.ln3.g"], params[f"{prefix}.ln3.b"])
-    cache.self_kv = self_kv
-    cache.real_keys = real_keys
     return ad.affine(x, params["stage2.dec.out.w"], params["stage2.dec.out.b"])
 
 
@@ -284,7 +340,9 @@ def generate_batch(studies, params: dict, vocab, config: RunConfig, mode: str = 
             tokens = np.asarray([[h[0][-1] if h[0] else BOS_ID] for h in live], dtype=np.int64)
             logits = decoder_forward(tokens, knowledge, params, config, cache=cache)
             logp_rows = ad.log_softmax_rows(logits).data[:, -1].astype(np.float64)
-            top = np.argsort(-logp_rows, axis=1, kind="stable")[:, :beam_width]
+            # each row's best tokens and its logprobs, as Python ints and floats
+            top_ids = (-logp_rows).argsort(axis=1, kind="stable")[:, :beam_width].tolist()
+            logps = logp_rows.tolist()
             row = 0
             for s, hyps in enumerate(beams):
                 candidates = []
@@ -293,8 +351,8 @@ def generate_batch(studies, params: dict, vocab, config: RunConfig, mode: str = 
                     if finished:
                         candidates.append(hyp)
                         continue
-                    logp = logp_rows[row]
-                    for tok in top[row].tolist():
+                    logp = logps[row]
+                    for tok in top_ids[row]:
                         if tok == EOS_ID:
                             candidates.append((ids, lps, score + logp[tok], True, row))
                         else:
@@ -305,7 +363,8 @@ def generate_batch(studies, params: dict, vocab, config: RunConfig, mode: str = 
             live_rows = [h[4] for hyps in beams for h in hyps if not h[3]]
             if not live_rows:
                 break
-            cache.reorder(live_rows)
+            if live_rows != list(range(row)):  # row counts the rows decoded this step
+                cache.reorder(live_rows)
     return [GenerationOutput(token_ids=list(best[0]), token_logprobs=[float(v) for v in best[1]],
                              stopped_by="eos" if best[3] else "max_len")
             for best in (hyps[0] for hyps in beams)]

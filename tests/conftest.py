@@ -47,6 +47,11 @@ def make_study(study_id, num_views, rng, image_size=8, report="patchy opacity se
     )
 
 
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    """Whether two arrays have the same dtype, shape and bytes."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def padded_indications(rows):
     """Indication features for ``bridge_forward`` from per-study [L_i, d]
     token arrays (None where a study has no indication), padded to the

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import weakref
@@ -16,6 +17,7 @@ from mvreport.errors import (
 from mvreport.rng import Rng
 
 import conv_reference
+from conftest import same_bytes
 from gradcheck import check_grads
 
 F64 = np.float64
@@ -473,8 +475,7 @@ def test_conv2d_matches_nchw_reference(stride, padding, channels, x_is_param):
 
 def assert_same_bytes(got, want, dtype):
     for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype == dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+        assert g.dtype == dtype and same_bytes(g, w)
 
 
 TAP_CASES = [
@@ -945,6 +946,80 @@ def test_parents_of_add_get_independent_gradients(slice_op, slice_term_first):
     expected_p[1:3] += d
     np.testing.assert_array_equal(q.grad, c)
     np.testing.assert_array_equal(p.grad, expected_p)
+
+
+# -- node outputs ------------------------------------------------------------
+
+
+def op_cases():
+    """One call of every op that returns a Tensor, on float64 inputs: op name -> thunk."""
+    rng = Rng(41)
+    a, b, g, bias = p64(rng, (3, 4)), p64(rng, (3, 4)), p64(rng, (4,)), p64(rng, (4,))
+    x, m, c = p64(rng, (2, 3, 4)), p64(rng, (4, 5)), p64(rng, (5,))
+    k, v = p64(rng, (2, 5, 4)), p64(rng, (2, 5, 4))
+    img, w, cb = p64(rng, (2, 6, 6, 3)), p64(rng, (5, 3, 3, 3)), p64(rng, (5,))
+    positive = ad.parameter(np.abs(a.data) + 0.5, dtype=F64)
+    target = ad.constant(ad.softmax_rows(b).data, dtype=F64)
+    return {
+        "constant": lambda: ad.constant(2.0, dtype=F64),
+        "parameter": lambda: ad.parameter(2.0, dtype=F64),
+        "add": lambda: ad.add(a, b),
+        "sub": lambda: ad.sub(a, b),
+        "mul": lambda: ad.mul(a, b),
+        "div": lambda: ad.div(a, positive),
+        "relu": lambda: ad.relu(a),
+        "exp": lambda: ad.exp(a),
+        "log": lambda: ad.log(positive),
+        "reshape": lambda: ad.reshape(a, (4, 3)),
+        "transpose": lambda: ad.transpose(x, (2, 0, 1)),
+        "broadcast_to": lambda: ad.broadcast_to(g, (3, 4)),
+        "swap_last2": lambda: ad.swap_last2(x),
+        "concat": lambda: ad.concat([a, b], axis=0),
+        "narrow": lambda: ad.narrow(x, 1, 1, 2),
+        "gather_rows": lambda: ad.gather_rows(a, np.array([[2, 0], [1, 1]])),
+        "take_last": lambda: ad.take_last(a, np.array([3, 0, 1])),
+        "tsum": lambda: ad.tsum(a),
+        "tmean": lambda: ad.tmean(a),
+        "matmul": lambda: ad.matmul(x, m),
+        "softmax_rows": lambda: ad.softmax_rows(a, 0.5),
+        "log_softmax_rows": lambda: ad.log_softmax_rows(a),
+        "layer_norm": lambda: ad.layer_norm(a, g, bias),
+        "add_layer_norm": lambda: ad.add_layer_norm(a, b, g, bias),
+        "l2_normalize": lambda: ad.l2_normalize(a),
+        "scaled_dot_attention": lambda: ad.scaled_dot_attention(x, k, v, key_mask=np.array([True, False] * 2 + [True])),
+        "cross_entropy_rows": lambda: ad.cross_entropy_rows(target, ad.softmax_rows(a)),
+        "conv2d": lambda: ad.conv2d(img, w, cb, stride=2, padding=1),
+        "conv2d_relu": lambda: ad.conv2d_relu(img, w, cb, stride=2, padding=1),
+        "affine": lambda: ad.affine(x, m, c),
+        "affine_relu": lambda: ad.affine_relu(x, m, c),
+    }
+
+
+# ops whose output is one number: a 0-d array, not a NumPy scalar
+FULL_REDUCTIONS = {"constant", "parameter", "tsum", "tmean", "cross_entropy_rows"}
+
+
+def test_op_cases_cover_every_op():
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+           and inspect.signature(fn).return_annotation == "Tensor"}
+    assert ops == set(op_cases())
+
+
+@pytest.mark.parametrize("op", list(op_cases()))
+def test_every_op_output_is_an_ndarray_with_or_without_a_graph(op):
+    """Each op's ``.data`` is an ``np.ndarray`` (a full reduction's a 0-d
+    one, which a weak reference can point at), recorded or not; the
+    no-graph call, which skips backward-only work, gives the same bytes."""
+    recorded = op_cases()[op]()
+    with ad.no_grad():
+        plain = op_cases()[op]()
+    assert plain._parents == () and plain._backward_fn is None
+    for out in (recorded, plain):
+        assert type(out.data) is np.ndarray
+        assert (out.data.ndim == 0) == (op in FULL_REDUCTIONS)
+        weakref.ref(out.data)
+    assert same_bytes(plain.data, recorded.data)
 
 
 # -- no_grad -----------------------------------------------------------------

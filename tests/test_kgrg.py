@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from mvreport import autodiff as ad
 from mvreport.data import Batch
 from mvreport.encoders import init_stage1_params
-from mvreport.errors import DimensionError, NumericalAbort
+from mvreport.errors import DimensionError, GraphError, NumericalAbort
 from mvreport.kgrg import (
     DecoderCache,
     bridge_forward,
@@ -29,8 +30,8 @@ from mvreport.rng import Rng
 from mvreport.synthetic import SynthSpec, build_vocabulary, synth_corpus
 from mvreport.text import BOS_ID, EOS_ID, PAD_ID, Vocabulary, tokenize
 
-from conftest import make_study, padded_indications, tiny_config
-from decode_reference import reference_generate
+from conftest import make_study, padded_indications, same_bytes, tiny_config
+from decode_reference import ConcatCache, concat_decoder_step, concat_generate_batch, reference_generate
 from gradcheck import directional_check, to_f64_params
 
 F64 = np.float64
@@ -485,3 +486,100 @@ def test_generate_leaves_no_parameter_grads():
     teacher_forced_logprobs(batch.studies[0], [4, 5], params, vocab, config)
     assert all(p.grad is None for p in params.values())
     assert ad.GRAD_ENABLED
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_cached_decoder_steps_equal_the_concat_step_byte_for_byte(dec_layers, dtype):
+    """The preallocated buffers and array kernels give the logits of the
+    concat-based cached step, recorded op by op, byte for byte: a 3-position
+    first call, then one position per call, with a [2, 0, 0] reorder, up to
+    max_tokens + 1 positions, after which both raise DimensionError."""
+    config, batch, vocab, params = _decode_setup(0, dec_layers, dtype)
+    knowledge = stage2_knowledge(batch, params, vocab, config)
+    seqs = np.random.default_rng(dec_layers).integers(3, len(vocab), size=(3, config.max_tokens + 1))
+    seqs[:, 0] = BOS_ID
+    seqs[:, 2] = PAD_ID
+    seqs[1, 5:7] = PAD_ID
+    cache, reference = DecoderCache(), ConcatCache()
+    starts = [0, *range(3, config.max_tokens + 1)]
+    for start, stop in zip(starts, starts[1:] + [config.max_tokens + 1]):
+        if start == 6:
+            cache.reorder([2, 0, 0])
+            reference.reorder([2, 0, 0])
+        with ad.no_grad():
+            step = decoder_forward(seqs[:, start:stop], knowledge, params, config, cache=cache)
+        want = concat_decoder_step(seqs[:, start:stop], knowledge, params, config, reference)
+        assert want._parents  # recorded, so computed by the recorded ops
+        assert cache.length == reference.length == stop
+        assert same_bytes(step.data, want.data), start
+    with pytest.raises(DimensionError), ad.no_grad():
+        decoder_forward(seqs[:, :1], knowledge, params, config, cache=cache)
+    with pytest.raises(DimensionError):
+        concat_decoder_step(seqs[:, :1], knowledge, params, config, reference)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dec_layers", [1, 2])
+@pytest.mark.parametrize("mode,width", [("greedy", 1), ("beam", 3)])
+def test_generate_batch_equals_the_concat_loop_byte_for_byte(mode, width, dec_layers, dtype):
+    """Token ids, logprob bytes and stop reasons equal those of the loop
+    that ran on the concat-based cached step."""
+    for seed in (0, 2, 3):
+        config, studies, vocab, params = _batch_decode_setup(seed, dec_layers, dtype)
+        outputs = generate_batch(studies, params, vocab, config, mode=mode, beam_width=width)
+        wanted = concat_generate_batch(studies, params, vocab, config, mode=mode, beam_width=width)
+        for out, want in zip(outputs, wanted, strict=True):
+            assert (out.token_ids, out.stopped_by) == (want.token_ids, want.stopped_by)
+            assert same_bytes(np.asarray(out.token_logprobs), np.asarray(want.token_logprobs))
+
+
+def test_cached_decoding_raises_while_a_graph_is_recorded():
+    """A cached call outside no_grad() raises before it touches the cache:
+    its plain key/value buffers would drop the gradient paths through the
+    past positions."""
+    config, batch, vocab, params = _setup()
+    knowledge = stage2_knowledge(batch, params, vocab, config)
+    cache = DecoderCache()
+    with pytest.raises(GraphError, match="no_grad"):
+        decoder_forward(np.full((2, 1), BOS_ID), knowledge, params, config, cache=cache)
+    assert cache.length == 0 and not cache.self_kv
+    with ad.no_grad():
+        decoder_forward(np.full((2, 1), BOS_ID), knowledge, params, config, cache=cache)
+    with pytest.raises(GraphError, match="no_grad"):
+        decoder_forward(np.array([[4], [5]]), knowledge, params, config, cache=cache)
+    assert cache.length == 1
+
+
+def test_cached_step_allocation_does_not_grow_with_the_decoded_length():
+    """A one-position step at position 90 allocates at most 2 KiB more than
+    one at position 10: only its attention mask and scores grow, by a few
+    bytes per position and row. A step that copied the past keys and values
+    would allocate 2 x 80 positions x 64 x 4 bytes x 3 rows = 120 KiB more.
+    The key/value buffers stay the same arrays from step to step; a reorder
+    copies the filled positions into new ones."""
+    config, batch, vocab, params = _setup(view_counts=(1, 2, 1), d1=64, max_tokens=100)
+    tokens = np.full((3, 1), 4)
+    peaks = {}
+    with ad.no_grad():
+        knowledge = stage2_knowledge(batch, params, vocab, config)
+        cache = DecoderCache()
+        decoder_forward(np.full((3, 1), BOS_ID), knowledge, params, config, cache=cache)
+        buffers = cache.self_kv[0]
+        tracemalloc.start()
+        try:
+            while cache.length <= 90:
+                position = cache.length
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                decoder_forward(tokens, knowledge, params, config, cache=cache)
+                peaks[position] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cache.self_kv[0][0] is buffers[0] and cache.self_kv[0][1] is buffers[1]
+        cache.reorder([2, 0, 0])
+    assert peaks[90] <= peaks[10] + 2048, (peaks[10], peaks[90])
+    k_buf, v_buf = cache.self_kv[0]
+    assert k_buf is not buffers[0] and v_buf is not buffers[1]
+    np.testing.assert_array_equal(k_buf[:, :91], buffers[0][[2, 0, 0], :91])
+    np.testing.assert_array_equal(v_buf[:, :91], buffers[1][[2, 0, 0], :91])

@@ -154,7 +154,7 @@ def sum64_in_storage_dtype(monkeypatch):
 
 def softmax_without_row_max_shift(monkeypatch):
     def unshifted(x, temperature, key_mask):
-        z = x.data / temperature
+        z = x / temperature
         return z if key_mask is None else np.where(key_mask, z, ad.NEG_INF)
 
     monkeypatch.setattr(ad, "_shifted_logits", unshifted)
