@@ -285,16 +285,14 @@ def _make(data, parents: tuple, backward_fn, op) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum gradient g down to the given (broadcast-source) shape."""
-    if g.shape == tuple(shape):
+    """Sum gradient g down to the given (broadcast-source) shape, in one
+    64-bit reduction over the leading and the stretched axes."""
+    shape = tuple(shape)
+    if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    axes = (*range(extra), *(extra + i for i, n in enumerate(shape) if n == 1 and g.shape[extra + i] != 1))
+    return _sum64(g, axis=axes, keepdims=True).reshape(shape)
 
 
 def _sum64(x: np.ndarray, axis=None, keepdims=False) -> np.ndarray:

@@ -5,7 +5,7 @@ inputs rounded to float32 first, so the error measured is the op's own
 arithmetic. Each ``*_REFERENCE`` holds the relative errors read at seed 0,
 and every error may be at most ``FACTOR`` times its reference: over seeds
 0-9 the largest error was 1.33x its seed-0 value (the conv bias gradient;
-for layer_norm, 1.31x, also the bias gradient). The softmax errors spread
+for layer_norm, 1.31x, and for affine, 1.27x, also the bias gradients). The softmax errors spread
 less, at most 1.05x over seeds 0-9, so they take ``SOFTMAX_FACTOR``.
 tmean and l2_normalize spread at most 1.11x. cross_entropy_rows's errors
 depend on a few values each, so its references are float32's machine
@@ -25,6 +25,8 @@ FACTOR = 2.0
 CONV_REFERENCE = {"out": 1.488e-7, "x": 1.084e-7, "w": 3.711e-7, "b": 2.565e-8}
 # layer_norm at x [256, 24, 64]: the gain and bias gradients sum 256 * 24 = 6144 rows
 LAYER_NORM_REFERENCE = {"out": 5.741e-8, "x": 5.907e-8, "gain": 5.389e-8, "bias": 2.388e-8}
+# affine at x [256, 11, 64], w [64, 64]: the bias gradient sums 256 * 11 = 2816 rows
+AFFINE_REFERENCE = {"out": 1.119e-7, "x": 1.430e-7, "w": 3.647e-7, "b": 2.196e-8}
 # softmax_rows and log_softmax_rows at tape shapes of a B=256 step: text
 # attention scores with PAD keys masked, the MPC's off-diagonal view
 # similarities at temperature 0.5, and the LM's logits over a vocabulary of
@@ -94,6 +96,16 @@ def layer_norm_errors(seed: int) -> dict:
     bias = np.asarray(rng.normal((64,), std=0.1), dtype=np.float32)
     g = np.asarray(rng.normal((256, 24, 64)), dtype=np.float32)
     return float32_errors(ad.layer_norm, (x, gain, bias), g, LAYER_NORM_REFERENCE)
+
+
+def affine_errors(seed: int) -> dict:
+    """Relative float32 error of affine's output and its x, w and b gradients."""
+    rng = Rng(seed)
+    x = np.asarray(rng.normal((256, 11, 64)), dtype=np.float32)
+    w = np.asarray(rng.normal((64, 64), std=1 / 8), dtype=np.float32)
+    b = np.asarray(rng.normal((64,)), dtype=np.float32)
+    g = np.asarray(rng.normal((256, 11, 64)), dtype=np.float32)
+    return float32_errors(ad.affine, (x, w, b), g, AFFINE_REFERENCE)
 
 
 def softmax_errors(op: str, case: str, seed: int, offset: float = 0.0) -> dict:
@@ -182,6 +194,18 @@ def test_layer_norm_precision_check_catches_sum64_in_storage_dtype(monkeypatch):
     float64 breaks both bounds (about 23x and 56x their references at seed 0)."""
     sum64_in_storage_dtype(monkeypatch)
     assert over_bound(layer_norm_errors(0), LAYER_NORM_REFERENCE) == ["gain", "bias"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_affine_float32_error_stays_within_factor_of_reference(seed):
+    assert over_bound(affine_errors(seed), AFFINE_REFERENCE) == []
+
+
+def test_affine_precision_check_catches_sum64_in_storage_dtype(monkeypatch):
+    """Summing the bias gradient's 2816 rows in float32 instead of float64
+    breaks the bias bound (about 39x its reference at seed 0)."""
+    sum64_in_storage_dtype(monkeypatch)
+    assert over_bound(affine_errors(0), AFFINE_REFERENCE) == ["b"]
 
 
 @pytest.mark.parametrize("seed,offset", [(seed, 0.0) for seed in range(5)] + [(0, 30.0)])
