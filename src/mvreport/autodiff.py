@@ -111,16 +111,16 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward_fn=None, _op=""):
+    def __init__(self, data, requires_grad=False, dtype=None):
         if dtype is None:
             dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64) else DEFAULT_DTYPE
         # np.asarray would return such an array as it is, only slower
         self.data = data if type(data) is np.ndarray and data.dtype == dtype else np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = _parents
-        self._backward_fn = _backward_fn
-        self._op = _op
+        self._parents = ()
+        self._backward_fn = None
+        self._op = ""
 
     # -- basics ---------------------------------------------------------
 
@@ -350,24 +350,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out_data, (a, b), backward_fn, "div")
-
-
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
-
-    def backward_fn(g):
-        a._accumulate(g * (a.data > 0))
-
-    return _make(out_data, (a,), backward_fn, "relu")
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward_fn(g):
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward_fn, "exp")
 
 
 def log(a: Tensor) -> Tensor:
@@ -808,7 +790,7 @@ def _relu_in_place(node: Tensor, op: str) -> Tensor:
     """``relu(node)`` as one node on ``node``'s parents that holds one array:
     the ReLU runs in place on ``node``'s fresh output, which no node has
     consumed, and the backward runs ``node``'s closure on the gradient
-    masked where that output is positive, as ``relu`` masks where its input is."""
+    masked where that output is positive, as a separate ReLU node masks where its input is."""
     out_data = np.maximum(node.data, 0, out=node.data)
     node_backward = node._backward_fn
 

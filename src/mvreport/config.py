@@ -61,7 +61,7 @@ class RunConfig:
                 raise UsageError(f"config field '{f.name}' must be of type {expected.__name__}, got {value!r}")
         positives = (
             "image_size", "d1", "d", "n_b", "memory_rows", "bridge_blocks", "text_layers", "dec_layers",
-            "ffn_mult", "k_t", "tau1", "tau2", "batch_size", "lr_stage1", "lr_stage2_pretrained",
+            "ffn_mult", "tau1", "tau2", "batch_size", "lr_stage1", "lr_stage2_pretrained",
             "lr_stage2_fresh", "epochs", "max_tokens", "n_studies",
         )
         for name in positives:
@@ -70,6 +70,8 @@ class RunConfig:
         for name in ("max_steps", "weight_decay"):
             if getattr(self, name) < 0:
                 raise UsageError(f"config field '{name}' must not be negative, got {getattr(self, name)}")
+        if self.k_t < 2:
+            raise UsageError(f"config field 'k_t' must be at least 2, for the BOS and EOS tokens, got {self.k_t}")
         if self.image_size % 8 != 0:
             raise UsageError(f"image_size must be a multiple of 8 (three stride-2 blocks), got {self.image_size}")
         for name in ("indication_rate", "split_train", "split_val", "split_test"):

@@ -116,16 +116,16 @@ def stage2_knowledge(batch: Batch, params: dict, vocab, config: RunConfig) -> Te
 class DecoderCache:
     """Incremental decoding state, one row per decoded sequence; inference only.
 
-    ``weights`` holds each layer's weight arrays by short name, looked up
-    once, so a cache belongs to one parameter dict. ``cross`` holds each
-    layer's cross-attention key/value arrays over [knowledge ; memory],
-    and ``self_kv`` each layer's self-attention key and value buffers
-    [rows, max_tokens + 1, dm]; ``real_keys`` [rows, max_tokens + 1] marks
-    which positions are not PAD. The first call fills ``weights`` and
-    ``cross`` and allocates the buffers; every call writes its positions
-    into them in place, so the first ``length`` positions are filled. The
-    buffers are plain arrays, which keep no gradient path through past
-    positions: ``decoder_forward`` with a cache runs only under
+    ``weights`` holds each layer's weight arrays by their names after
+    ``stage2.dec.l{layer}.``, looked up once, so a cache belongs to one
+    parameter dict. ``cross`` holds each layer's cross-attention key/value
+    arrays over [knowledge ; memory], and ``self_kv`` each layer's
+    self-attention key and value buffers [rows, max_tokens + 1, dm];
+    ``real_keys`` [rows, max_tokens + 1] marks which positions are not
+    PAD. The first call fills ``weights`` and ``cross`` and allocates the
+    buffers; every call writes its positions into them in place, so the
+    first ``length`` positions are filled. The buffers are plain arrays,
+    which keep no gradient path through past positions: ``decoder_forward`` with a cache runs only under
     ``ad.no_grad()``, and raises ``GraphError`` while a graph is recorded.
     """
 
@@ -139,10 +139,9 @@ class DecoderCache:
         """Keep the given rows of the cache, in order (a row may repeat):
         cross-attention and self-attention keys/values and the PAD mask
         alike. The self-attention buffers are new ones, into which only
-        the filled positions are copied."""
+        the filled positions are copied; the rows are copied even when
+        they are all the rows in order, so a caller skips that reorder."""
         rows = np.asarray(rows, dtype=np.int64)
-        if np.array_equal(rows, np.arange(len(self.real_keys))):
-            return
         filled = self.length
 
         def keep(buf):
@@ -168,11 +167,6 @@ def _self_attention_mask(real_keys: np.ndarray, offset: int, t: int) -> np.ndarr
     return mask
 
 
-# the per-layer weights a cached decoder step reads, by their names after "stage2.dec.l{layer}."
-_LAYER_WEIGHTS = ("self.wq", "self.wk", "self.wv", "self.wo", "cross.wq", "cross.wo",
-                  "ln1.g", "ln1.b", "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln3.g", "ln3.b")
-
-
 def _cached_decoder_step(ids: np.ndarray, knowledge: Tensor, params: dict, config: RunConfig,
                          cache: DecoderCache) -> np.ndarray:
     """``decoder_forward``'s layers on arrays for the positions ``ids``
@@ -187,8 +181,8 @@ def _cached_decoder_step(ids: np.ndarray, knowledge: Tensor, params: dict, confi
         kv_source = np.concatenate([knowledge.data, np.broadcast_to(memory, (len(knowledge.data),) + memory.shape)],
                                    axis=1)
         shape = (len(ids), config.max_tokens + 1, x.shape[-1])
-        cache.weights = [{name: params[f"stage2.dec.l{layer}.{name}"].data for name in _LAYER_WEIGHTS}
-                         for layer in range(config.dec_layers)]
+        cache.weights = [{name[len(prefix):]: t.data for name, t in params.items() if name.startswith(prefix)}
+                         for prefix in (f"stage2.dec.l{layer}." for layer in range(config.dec_layers))]
         cache.cross = [(kv_source @ params[f"stage2.dec.l{layer}.cross.wk"].data,
                         kv_source @ params[f"stage2.dec.l{layer}.cross.wv"].data) for layer in range(config.dec_layers)]
         cache.self_kv = [(np.empty(shape, dtype=x.dtype), np.empty(shape, dtype=x.dtype))

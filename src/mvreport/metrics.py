@@ -7,6 +7,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, DimensionError
 
 BLEU_EPS = 1e-9
@@ -175,16 +177,14 @@ def ce_f1(pred_labels, gold_labels, subset: int = 14):
         if len(row) != len(OBSERVATIONS):
             raise DimensionError(f"each label row must have {len(OBSERVATIONS)} entries, got {len(row)}")
 
+    pred = np.asarray(pred_labels, dtype=np.int64).reshape(-1, len(OBSERVATIONS))[:, indices]
+    gold = np.asarray(gold_labels, dtype=np.int64).reshape(-1, len(OBSERVATIONS))[:, indices]
+    tps, fps, fns = (c.sum(axis=0).tolist() for c in (pred & gold, pred & (1 - gold), (1 - pred) & gold))
+
     per_obs = {}
     tp_all = fp_all = fn_all = 0
     f1s, ps, rs = [], [], []
-    for name, idx in zip(names, indices):
-        tp = fp = fn = 0
-        for pred, gold in zip(pred_labels, gold_labels):
-            p, g = int(pred[idx]), int(gold[idx])
-            tp += p & g
-            fp += p & (1 - g)
-            fn += (1 - p) & g
+    for name, tp, fp, fn in zip(names, tps, fps, fns):
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

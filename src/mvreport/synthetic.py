@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Study, write_manifest
+from .data import write_manifest
 from .errors import DataError
 from .rng import Rng
 from .tenfile import write_tensor
-from .text import Vocabulary, clean_indication, fallback_serialize
+from .text import Vocabulary, fallback_serialize
 
 PATTERN_WORDS = [
     "nodular", "linear", "patchy", "diffuse", "focal", "streaky", "hazy", "dense",
@@ -98,20 +98,6 @@ def generate_records(spec: SynthSpec) -> list[dict]:
     return records
 
 
-def records_to_studies(records) -> list[Study]:
-    return [
-        Study(
-            study_id=r["study_id"],
-            views=r["views"],
-            anchor_index=r["anchor_index"],
-            indication=clean_indication(r["indication"]),
-            report=r["report"],
-            factual_serialization=list(r["factual_serialization"]),
-        )
-        for r in records
-    ]
-
-
 def build_vocabulary(studies) -> Vocabulary:
     """Vocabulary over report, serialization, and indication tokens."""
     from .text import tokenize
@@ -123,12 +109,6 @@ def build_vocabulary(studies) -> Vocabulary:
         if s.indication:
             sequences.append(tokenize(s.indication))
     return Vocabulary.build(sequences)
-
-
-def synth_corpus(spec: SynthSpec):
-    """Generate studies and their vocabulary."""
-    studies = records_to_studies(generate_records(spec))
-    return studies, build_vocabulary(studies)
 
 
 def write_corpus(records, out_dir, split_fractions=(0.7, 0.15, 0.15)) -> dict:

@@ -108,11 +108,11 @@ def _train_epochs(config: RunConfig, stage: str, epoch_label: str, log_path: Pat
     return ckpt_dir
 
 
-def pretrain_run(config: RunConfig, out_dir=None) -> Path:
+def pretrain_run(config: RunConfig) -> Path:
     """Stage-1 training loop; returns the best-checkpoint directory."""
     train = _load_split(config, "train")
     val = _load_split(config, "val")
-    out = Path(out_dir or config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     vocab = build_vocabulary(train)
     params = mvcl_init_params(config, vocab)
@@ -166,7 +166,7 @@ def validation_bleu4(studies, params, vocab, config: RunConfig) -> float:
     return bleu(cands, refs)[3]
 
 
-def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = False, out_dir=None) -> Path:
+def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = False) -> Path:
     """Stage-2 training loop with two learning-rate groups."""
     train = _load_split(config, "train")
     val = _load_split(config, "val")
@@ -178,7 +178,7 @@ def finetune_run(config: RunConfig, stage1_ckpt=None, allow_cold_start: bool = F
         log.warning("cold start: Stage-2 runs without a Stage-1 checkpoint")
     else:
         raise CheckpointError("Stage-1 checkpoint required (pass --allow-cold-start to override)")
-    out = Path(out_dir or config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     params = dict(stage1_params)

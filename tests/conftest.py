@@ -1,11 +1,14 @@
+import tempfile
+
 import numpy as np
 import pytest
 
 from mvreport import autodiff as ad
 from mvreport.config import RunConfig
-from mvreport.data import Study
+from mvreport.data import Study, load_manifest
 from mvreport.encoders import TextFeatures
 from mvreport.rng import Rng
+from mvreport.synthetic import build_vocabulary, generate_records, write_corpus
 from mvreport.text import PAD_ID, fallback_serialize
 
 
@@ -31,6 +34,17 @@ def tiny_config(**overrides):
     config = RunConfig(**values)
     config.validate()
     return config
+
+
+def synth_studies(spec):
+    """The studies of a synthetic corpus in generation order, and their
+    vocabulary, as the program gets them: the corpus is written to a
+    temporary directory and its train, val and test manifests are read
+    back in that order."""
+    with tempfile.TemporaryDirectory() as corpus:
+        write_corpus(generate_records(spec), corpus)
+        studies = [s for split in ("train", "val", "test") for s in load_manifest(f"{corpus}/{split}.jsonl")]
+    return studies, build_vocabulary(studies)
 
 
 def make_study(study_id, num_views, rng, image_size=8, report="patchy opacity seen",

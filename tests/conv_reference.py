@@ -16,6 +16,7 @@ import numpy as np
 from mvreport import autodiff as ad
 from mvreport.autodiff import Tensor, _make, _needs_grad, _sum64
 from mvreport.errors import DimensionError
+from op_reference import relu
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -113,7 +114,7 @@ def reference_encode_views(views: np.ndarray, params: dict) -> Tensor:
     x = ad.constant(views)
     for i in range(3):
         x = conv2d(x, params[f"stage1.vis.conv{i}.w"], params[f"stage1.vis.conv{i}.b"], stride=2, padding=1)
-        x = ad.relu(x)
+        x = relu(x)
     m, d1 = x.shape[0], x.shape[1]
     x = ad.reshape(x, (m, d1, x.shape[2] * x.shape[3]))  # [M, d1, p]
     return ad.transpose(x, (0, 2, 1))

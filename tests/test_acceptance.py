@@ -43,11 +43,12 @@ from mvreport.mvcl import (
 )
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
-from mvreport.synthetic import SynthSpec, synth_corpus
+from mvreport.synthetic import SynthSpec
 from mvreport.text import Vocabulary, tokenize
 
-from conftest import make_study, padded_indications, tiny_config
+from conftest import make_study, padded_indications, synth_studies, tiny_config
 from gradcheck import check_grads, directional_check, to_f64_params
+from op_reference import exp, relu
 
 F64 = np.float64
 
@@ -103,12 +104,12 @@ def _op_cases(rng):
     def case_relu():
         a = _margin(_p(rng, (3, 4)))
         dot = _dot(rng, (3, 4))
-        return lambda: dot(ad.relu(a)), [a]
+        return lambda: dot(relu(a)), [a]
 
     def case_exp():
         a = _p(rng, (3, 4), std=0.5)
         dot = _dot(rng, (3, 4))
-        return lambda: dot(ad.exp(a)), [a]
+        return lambda: dot(exp(a)), [a]
 
     def case_log():
         a = _p(rng, (3, 4), std=0.5, offset=3.0)
@@ -430,7 +431,7 @@ def test_criterion_6_end_to_end_overfit(capsys):
     config = _overfit_config(seed=7)
     spec = SynthSpec(n_studies=8, view_count_range=(1, 3), image_size=16,
                      indication_rate=0.66, seed=config.seed)
-    studies, vocab = synth_corpus(spec)
+    studies, vocab = synth_studies(spec)
     batch = Batch(studies)
 
     params = init_stage1_params(config, len(vocab), Rng(1))
@@ -477,7 +478,7 @@ def test_criterion_7_indication_ablation(capsys):
     config.batch_size = 16
     spec = SynthSpec(n_studies=64, view_count_range=(1, 2), image_size=16,
                      indication_rate=1.0, seed=seed)
-    studies, vocab = synth_corpus(spec)
+    studies, vocab = synth_studies(spec)
     train, val = studies[:48], studies[48:]
 
     shared = init_stage1_params(config, len(vocab), Rng(seed + 1))

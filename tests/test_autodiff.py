@@ -17,8 +17,10 @@ from mvreport.errors import (
 from mvreport.rng import Rng
 
 import conv_reference
+import op_reference
 from conftest import same_bytes
 from gradcheck import check_grads
+from op_reference import exp, relu
 
 F64 = np.float64
 
@@ -340,7 +342,7 @@ def test_backward_accumulates_across_calls():
 
 def test_backward_keeps_only_root_and_leaf_gradients():
     x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
-    h = ad.relu(x * 2.0)
+    h = relu(x * 2.0)
     loss = ad.tsum(ad.narrow(h, 0, 0, 2)) + ad.tsum(h * h)
     interior = [n for n in ad._topo_order(loss) if n._backward_fn is not None and n is not loss]
     assert len(interior) == 6
@@ -359,7 +361,7 @@ def test_backward_releases_the_tape_as_it_runs():
     ``_consumed`` closure, so a walk from the root finds nothing. Reuse
     still raises, and the root and leaf gradients are those of the pass."""
     x = ad.parameter(np.array([1.0, -2.0, 3.0]), dtype=F64)
-    h = ad.relu(x * 2.0)
+    h = relu(x * 2.0)
     loss = ad.tsum(ad.narrow(h, 0, 0, 2)) + ad.tsum(h * h)
     order = ad._topo_order(loss)
     unheld = [weakref.ref(n.data) for n in order if n._parents and n is not h and n is not loss]
@@ -577,7 +579,7 @@ def test_conv2d_relu_bitwise_equals_relu_of_conv2d(x_shape, w_shape, stride, pad
     wo = (x_shape[2] + 2 * padding - w_shape[3]) // stride + 1
     upstream = np.asarray(rng.normal((x_shape[0], ho, wo, w_shape[0])), dtype=dtype)
     results = []
-    for block in (ad.conv2d_relu, lambda *t, **kw: ad.relu(ad.conv2d(*t, **kw))):
+    for block in (ad.conv2d_relu, lambda *t, **kw: relu(ad.conv2d(*t, **kw))):
         xt, wt, bt = (ad.parameter(a, dtype=dtype) for a in (x, w, b))
         out = block(xt, wt, bt, stride=stride, padding=padding)
         ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
@@ -599,7 +601,7 @@ def test_conv2d_relu_masks_exact_zeros_and_nan_as_relu_does(monkeypatch, dtype):
     monkeypatch.setattr(ad, "conv2d", lambda x, w, b, stride, padding: x * 1.0)
     unused = ad.constant(np.zeros(1), dtype=dtype)
     results = []
-    for block in (lambda a: ad.conv2d_relu(a, unused, unused), ad.relu):
+    for block in (lambda a: ad.conv2d_relu(a, unused, unused), relu):
         a = ad.parameter(pre, dtype=dtype)
         out = block(a)
         ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
@@ -647,7 +649,7 @@ def test_affine_relu_bitwise_equals_relu_of_affine(x_shape, w_shape, dtype):
     w[:, 3], b[3] = 0.0, 0.0
     upstream = np.asarray(rng.normal(x_shape[:-1] + w_shape[-1:]), dtype=dtype)
     results = []
-    for layer in (ad.affine_relu, lambda *t: ad.relu(ad.affine(*t))):
+    for layer in (ad.affine_relu, lambda *t: relu(ad.affine(*t))):
         xt, wt, bt = (ad.parameter(a, dtype=dtype) for a in (x, w, b))
         out = layer(xt, wt, bt)
         ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
@@ -668,7 +670,7 @@ def test_affine_relu_masks_exact_zeros_and_nan_as_relu_does(monkeypatch, dtype):
     monkeypatch.setattr(ad, "affine", lambda x, w, b: x * 1.0)
     unused = ad.constant(np.zeros(1), dtype=dtype)
     results = []
-    for layer in (lambda a: ad.affine_relu(a, unused, unused), ad.relu):
+    for layer in (lambda a: ad.affine_relu(a, unused, unused), relu):
         a = ad.parameter(pre, dtype=dtype)
         out = layer(a)
         ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
@@ -764,7 +766,7 @@ def test_grad_elementwise_ops():
     check_grads(lambda: scalarize(a - b, Rng(2)), [a, b])
     check_grads(lambda: scalarize(a * b, Rng(3)), [a, b])
     check_grads(lambda: scalarize(ad.div(a, b), Rng(4)), [a, b])
-    check_grads(lambda: scalarize(ad.exp(a), Rng(5)), [a])
+    check_grads(lambda: scalarize(exp(a), Rng(5)), [a])
     check_grads(lambda: scalarize(ad.log(b), Rng(6)), [b])
 
 
@@ -773,7 +775,7 @@ def test_grad_relu_away_from_kink():
     data = np.asarray(rng.normal((4, 4)), dtype=F64)
     data[np.abs(data) < 0.1] = 0.5
     x = ad.parameter(data, dtype=F64)
-    check_grads(lambda: scalarize(ad.relu(x), Rng(7)), [x])
+    check_grads(lambda: scalarize(relu(x), Rng(7)), [x])
 
 
 def test_grad_broadcast_ops():
@@ -810,7 +812,7 @@ def test_grad_reductions():
     check_grads(lambda: ad.tsum(x * x), [x])
     check_grads(lambda: scalarize(ad.tsum(x, axis=1), Rng(16)), [x])
     check_grads(lambda: scalarize(ad.tmean(x, axis=0), Rng(17)), [x])
-    check_grads(lambda: ad.tmean(ad.exp(x)), [x])
+    check_grads(lambda: ad.tmean(exp(x)), [x])
 
 
 def test_grad_softmax_and_log_softmax():
@@ -967,8 +969,8 @@ def op_cases():
         "sub": lambda: ad.sub(a, b),
         "mul": lambda: ad.mul(a, b),
         "div": lambda: ad.div(a, positive),
-        "relu": lambda: ad.relu(a),
-        "exp": lambda: ad.exp(a),
+        "relu": lambda: relu(a),
+        "exp": lambda: exp(a),
         "log": lambda: ad.log(positive),
         "reshape": lambda: ad.reshape(a, (4, 3)),
         "transpose": lambda: ad.transpose(x, (2, 0, 1)),
@@ -1000,8 +1002,8 @@ FULL_REDUCTIONS = {"constant", "parameter", "tsum", "tmean", "cross_entropy_rows
 
 
 def test_op_cases_cover_every_op():
-    ops = {name for name, fn in vars(ad).items()
-           if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+    ops = {name for module in (ad, op_reference) for name, fn in vars(module).items()
+           if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
            and inspect.signature(fn).return_annotation == "Tensor"}
     assert ops == set(op_cases())
 
@@ -1030,7 +1032,7 @@ def test_no_grad_records_no_graph_and_nests():
     with ad.no_grad():
         with ad.no_grad():
             inner = ad.matmul(w, w)
-        outer = ad.relu(w)
+        outer = relu(w)
         assert not ad.GRAD_ENABLED
     for t in (inner, outer):
         assert t._parents == () and t._backward_fn is None and not t.requires_grad

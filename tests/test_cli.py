@@ -70,6 +70,20 @@ def test_bad_view_counts_fail_dry_run(tmp_path, capsys, views):
     assert "view_count_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_t", [0, 1])
+def test_pretrain_with_k_t_below_two_exits_1_without_a_traceback(tmp_path, capsys, k_t):
+    """BOS and EOS alone take two text positions, so a smaller ``k_t`` is a
+    usage error before any training, not a reshape error in the text encoder."""
+    cfg = _write_config(tmp_path / "c.json", data_dir=str(tmp_path / "corpus"), out_dir=str(tmp_path / "run"))
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    cfg = _write_config(tmp_path / "c.json", k_t=k_t, data_dir=str(tmp_path / "corpus"), out_dir=str(tmp_path / "run"))
+    assert cli.main(["pretrain", "--config", str(cfg)]) == 1
+    assert f"usage error: config field 'k_t' must be at least 2, for the BOS and EOS tokens, got {k_t}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
 def test_bad_mode_is_usage_error(tmp_path, capsys, dry_run):
     cfg = _write_config(tmp_path / "c.json")

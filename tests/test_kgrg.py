@@ -27,10 +27,10 @@ from mvreport.kgrg import (
 from mvreport.mvcl import stage1_forward
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
-from mvreport.synthetic import SynthSpec, build_vocabulary, synth_corpus
+from mvreport.synthetic import SynthSpec, build_vocabulary
 from mvreport.text import BOS_ID, EOS_ID, PAD_ID, Vocabulary, tokenize
 
-from conftest import make_study, padded_indications, same_bytes, tiny_config
+from conftest import make_study, padded_indications, same_bytes, synth_studies, tiny_config
 from decode_reference import ConcatCache, concat_decoder_step, concat_generate_batch, reference_generate
 from gradcheck import directional_check, to_f64_params
 
@@ -241,7 +241,7 @@ def test_lm_loss_gradient_directional():
 
 def test_finetune_step_decreases_loss():
     config = tiny_config(max_tokens=16)
-    studies, vocab = synth_corpus(SynthSpec(n_studies=4, seed=21, image_size=8))
+    studies, vocab = synth_studies(SynthSpec(n_studies=4, seed=21, image_size=8))
     batch = Batch(studies)
     params = init_stage1_params(config, len(vocab), Rng(30))
     params.update(init_stage2_params(config, len(vocab), Rng(31)))

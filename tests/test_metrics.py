@@ -223,6 +223,48 @@ def test_ce_f1_micro_matches_count_identity():
     assert report["micro"]["f1"] == pytest.approx(2 * tp / (2 * tp + fp + fn))
 
 
+def _loop_ce_f1(pred_labels, gold_labels, subset):
+    """``ce_f1`` with its counts taken by one Python loop over the studies
+    per observation: the reference its array counts must equal."""
+    names = OBSERVATIONS if subset == 14 else OBSERVATIONS_5
+    per_obs, ps, rs, f1s = {}, [], [], []
+    tp_all = fp_all = fn_all = 0
+    for name in names:
+        idx = OBSERVATIONS.index(name)
+        tp = fp = fn = 0
+        for pred, gold in zip(pred_labels, gold_labels):
+            p, g = int(pred[idx]), int(gold[idx])
+            tp += p & g
+            fp += p & (1 - g)
+            fn += (1 - p) & g
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_obs[name] = {"precision": precision, "recall": recall, "f1": f1}
+        tp_all, fp_all, fn_all = tp_all + tp, fp_all + fp, fn_all + fn
+        ps.append(precision)
+        rs.append(recall)
+        f1s.append(f1)
+    micro_p = tp_all / (tp_all + fp_all) if tp_all + fp_all else 0.0
+    micro_r = tp_all / (tp_all + fn_all) if tp_all + fn_all else 0.0
+    micro_f1 = 2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0
+    return {"per_obs": per_obs, "micro": {"precision": micro_p, "recall": micro_r, "f1": micro_f1},
+            "macro": {"precision": sum(ps) / len(ps), "recall": sum(rs) / len(rs), "f1": sum(f1s) / len(f1s)}}
+
+
+LABEL_ROW = st.lists(st.integers(0, 1), min_size=len(OBSERVATIONS), max_size=len(OBSERVATIONS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(LABEL_ROW, LABEL_ROW), max_size=40), subset=st.sampled_from([14, 5]))
+def test_ce_f1_equals_the_per_study_loop_exactly(pairs, subset):
+    preds, golds = [p for p, _ in pairs], [g for _, g in pairs]
+    report = ce_f1(preds, golds, subset=subset)
+    assert report == _loop_ce_f1(preds, golds, subset)
+    assert all(type(v) is float for row in (report["micro"], report["macro"], *report["per_obs"].values())
+               for v in row.values())
+
+
 def test_ce_f1_validation():
     with pytest.raises(DimensionError):
         ce_f1([_row()], [])

@@ -18,10 +18,10 @@ from mvreport.mvcl import (
 )
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
-from mvreport.synthetic import SynthSpec, synth_corpus
+from mvreport.synthetic import SynthSpec
 from mvreport.text import Vocabulary
 
-from conftest import make_study, tiny_config
+from conftest import make_study, synth_studies, tiny_config
 from gradcheck import check_grads, to_f64_params
 
 F64 = np.float64
@@ -337,7 +337,7 @@ def test_stage1_full_gradient_matches_finite_differences():
 
 def test_pretrain_step_decreases_loss():
     config = tiny_config(tau1=0.5, tau2=0.5)
-    studies, vocab = synth_corpus(SynthSpec(n_studies=4, seed=3, image_size=8))
+    studies, vocab = synth_studies(SynthSpec(n_studies=4, seed=3, image_size=8))
     batch = Batch(studies)
     params = init_stage1_params(config, len(vocab), Rng(5))
     optimizer = AdamW([(params, 1e-3)])

@@ -12,10 +12,10 @@ from mvreport.synthetic import (
     SynthSpec,
     build_vocabulary,
     generate_records,
-    records_to_studies,
-    synth_corpus,
     write_corpus,
 )
+
+from conftest import synth_studies
 
 
 def _dir_hash(root):
@@ -98,16 +98,15 @@ def test_report_is_function_of_pattern_and_severity():
         assert words[1] == "opacity"
 
 
-def test_records_to_studies_cleans_indication():
-    records = generate_records(SynthSpec(n_studies=30, seed=10, indication_rate=1.0, image_size=16))
-    studies = records_to_studies(records)
+def test_loaded_studies_have_cleaned_indications():
+    studies, _ = synth_studies(SynthSpec(n_studies=30, seed=10, indication_rate=1.0, image_size=16))
     for s in studies:
         assert "___" not in (s.indication or "")
         assert "male" in s.indication or "female" in s.indication
 
 
 def test_build_vocabulary_covers_corpus():
-    studies, vocab = synth_corpus(SynthSpec(n_studies=16, seed=11, indication_rate=1.0, image_size=16))
+    studies, vocab = synth_studies(SynthSpec(n_studies=16, seed=11, indication_rate=1.0, image_size=16))
     for s in studies:
         for tok in s.report.lower().replace(".", "").split():
             assert tok in vocab.token_to_id

@@ -19,7 +19,9 @@ from mvreport.kgrg import finetune_step, init_stage2_params, lm_loss, split_para
 from mvreport.mvcl import pretrain_step, stage1_forward
 from mvreport.optim import AdamW
 from mvreport.rng import Rng
-from mvreport.synthetic import SynthSpec, synth_corpus
+from mvreport.synthetic import SynthSpec
+
+from conftest import synth_studies
 
 # Per-tensor relative error of the float32 weights after DRIFT_STEPS steps
 # at B=32, seed 0, against float64, at the commit before tap-major im2col
@@ -45,7 +47,7 @@ class Trainer:
 
     def __init__(self, batch_size: int, n_batches: int, seed: int = 0, dtype=np.float32):
         self.config = RunConfig(batch_size=batch_size)
-        studies, self.vocab = synth_corpus(SynthSpec(n_studies=batch_size * n_batches, seed=seed))
+        studies, self.vocab = synth_studies(SynthSpec(n_studies=batch_size * n_batches, seed=seed))
         self.batches = [Batch(studies[i:i + batch_size]) for i in range(0, len(studies), batch_size)]
         n_vocab = len(self.vocab)
         self.stage1 = init_stage1_params(self.config, n_vocab, Rng(seed + 1))
