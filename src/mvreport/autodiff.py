@@ -35,16 +35,27 @@ exponentiation; log clamps its argument at 1e-12.
 
 Importing this module changes how the whole process allocates memory
 (glibc only, see ``_retain_freed_memory``): every block up to 32 MiB
-comes from the heap, and freed heap pages stay in the process.
+comes from the heap, freed heap pages stay in the process, and every
+thread allocates from the one main heap.
+
+``conv2d`` splits large convolutions into tasks that each write their own
+slice of an output array, and runs them on the calling thread and one
+worker thread (``_parallel``); at one BLAS thread every result has the
+bytes of the one-task computation. The worker is started by the first
+such call, and only where the process may run on more than one CPU.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
+import functools
 import itertools
 import logging
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -71,7 +82,11 @@ def _retain_freed_memory() -> None:
     memory grows by a few percent at most. The trim threshold is set only once the mmap
     threshold was accepted: either value set alone turns off glibc's
     dynamic threshold, and the trim threshold alone faults more than the
-    default. Without glibc's ``mallopt`` nothing changes.
+    default. One malloc arena (``M_ARENA_MAX``) keeps the blocks that
+    ``_parallel``'s worker thread allocates and frees in the same heap as
+    the main thread's, so the two reuse each other's pages; an arena per
+    thread would hold its own copy of them. Without glibc's ``mallopt``
+    nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt  # not find_library, which starts an ldconfig process
@@ -79,17 +94,97 @@ def _retain_freed_memory() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # from glibc's malloc.h
     if mallopt(m_mmap_threshold, 32 << 20) == 1:  # 32 MiB is the largest value glibc accepts on 64-bit
         mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_arena_max, 1)
 
 
 _retain_freed_memory()
+
+# conv2d splits its work into tasks from this many output rows (N * Ho * Wo) up;
+# below it, handing tasks to the worker costs more than the worker saves.
+_PARALLEL_MIN_ROWS = 4096
+# OpenBLAS's AVX-512 kernels compute a GEMM of at most this many
+# multiply-adds with a small-matrix kernel that sums the inner axis in one
+# pass, and a larger one in blocks, so the two round a long sum differently.
+# conv2d splits its weight gradient's columns only where both halves stay
+# above it: that GEMM sums over all rows.
+_SMALL_GEMM = 10**6
+# The jobs of _parallel's worker thread, a count of the jobs not yet taken,
+# and the thread, which the first _parallel call that can use it starts.
+_jobs = collections.deque()
+_jobs_waiting = threading.Semaphore(0)
+_worker = None
 
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
 # Set once l2_normalize has logged its near-zero-norm warning, which it logs once per process.
 _near_zero_norm_warned = False
+
+
+@functools.cache
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on; 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return 1
+
+
+def _work() -> None:
+    """The worker thread: run each job put on ``_jobs``, and drop it as soon as it has run."""
+    while True:
+        _jobs_waiting.acquire()
+        _jobs.popleft()()
+
+
+def _parallel(tasks: list) -> list:
+    """Run zero-argument callables and return their results in task order.
+
+    The calling thread and one worker thread each take the next task from
+    one shared counter until none is left, so each task runs once, on
+    either thread; tasks must write disjoint memory. With fewer than two
+    tasks, with one CPU, or on the worker itself, every task runs here, in
+    order. Once all tasks have finished, the first exception in task order
+    is raised here."""
+    global _worker
+    if len(tasks) < 2 or _cpu_count() < 2 or threading.current_thread() is _worker:
+        return [task() for task in tasks]
+    if _worker is None or not _worker.is_alive():  # also after a fork, which keeps only the calling thread
+        _worker = threading.Thread(target=_work, name="mvreport-autodiff-worker", daemon=True)
+        _worker.start()
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+    claim = itertools.count().__next__  # one C call, so no two threads get the same index
+    finished = threading.Event()
+
+    def drain():
+        while (i := claim()) < len(tasks):
+            try:
+                results[i] = tasks[i]()
+            except Exception as err:  # raised in the caller once every task has finished
+                errors[i] = err
+
+    def worker_drain():
+        try:
+            drain()
+        finally:
+            finished.set()
+
+    _jobs.append(worker_drain)
+    _jobs_waiting.release()
+    drain()
+    finished.wait()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
+
+
+def _spans(n: int, parts: int) -> list:
+    """``range(n)`` cut into ``parts`` near-equal ``(start, stop)`` spans, without empty ones."""
+    bounds = [n * i // parts for i in range(parts + 1)]
+    return [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
 
 
 @contextlib.contextmanager
@@ -700,8 +795,9 @@ def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """[N, H, W, C] -> columns [N*Ho*Wo, kh*kw*C] in (kh, kw, c) order."""
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray | None = None):
+    """[N, H, W, C] -> columns [N*Ho*Wo, kh*kw*C] in (kh, kw, c) order,
+    written into ``out`` when it is given."""
     n, h, w, c = x.shape
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)  # np.pad is slower
     xp[:, pad : pad + h, pad : pad + w] = x
@@ -714,7 +810,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False,
     )
-    return view.reshape(n * ho * wo, kh * kw * c), ho, wo
+    if out is None:
+        return view.reshape(n * ho * wo, kh * kw * c), ho, wo
+    out.reshape(view.shape)[...] = view
+    return out, ho, wo
 
 
 def _tap_slices(k: int, stride: int, pad: int, size: int, out_size: int) -> list:
@@ -740,50 +839,90 @@ def _phase_taps(k: int, stride: int, pad: int, size: int, out_size: int) -> list
     return phases
 
 
+def _conv_input_grad(gmat: np.ndarray, wt: np.ndarray, gx: np.ndarray, ho: int, wo: int, stride: int, pad: int):
+    """Write into ``gx`` [n, H, W, C] the input gradient of n views from
+    their output gradient ``gmat`` [n*Ho*Wo, O] and the weight ``wt``
+    [kh, kw, O, C]: one [rows, O] @ [O, C] GEMM per tap into one [rows, C]
+    buffer; the taps that land on one phase gx[:, py::s, px::s] are summed,
+    in tap order, in one zeroed contiguous buffer, which then fills that
+    phase of gx (at stride 1 the one phase is gx itself)."""
+    n, h, wd, c = gx.shape
+    kh, kw = wt.shape[:2]
+    tap = np.empty((n, ho, wo, c), dtype=gx.dtype)
+    phase = gx if stride == 1 else np.empty((n, -(-h // stride), -(-wd // stride), c), dtype=gx.dtype)
+    row_taps, col_taps = _phase_taps(kh, stride, pad, h, ho), _phase_taps(kw, stride, pad, wd, wo)
+    for py, px in itertools.product(range(stride), repeat=2):
+        buf = phase[:, : len(range(py, h, stride)), : len(range(px, wd, stride))]
+        buf[...] = 0
+        for i, out_rows, buf_rows in row_taps[py]:
+            for j, out_cols, buf_cols in col_taps[px]:
+                np.matmul(gmat, wt[i, j], out=tap.reshape(-1, c))
+                buf[:, buf_rows, buf_cols] += tap[:, out_rows, out_cols]
+        if phase is not gx:
+            gx[:, py::stride, px::stride] = buf
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution via im2col, channels last: [N, H, W, C] * [O, C, kh, kw] -> [N, Ho, Wo, O]."""
+    """2-D convolution via im2col, channels last: [N, H, W, C] * [O, C, kh, kw] -> [N, Ho, Wo, O].
+
+    From ``_PARALLEL_MIN_ROWS`` output rows up, and with more than one CPU,
+    the work runs as ``_parallel`` tasks that each write their own slice of
+    an output array, with the bytes of the one-task computation: the
+    forward and the input gradient per quarter of the views, the weight
+    gradient per half of the columns (see ``_SMALL_GEMM``), and the bias
+    gradient."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
     if x.shape[3] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
     o, c, kh, kw = w.shape
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    n, h, wd, _ = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    rows_per_view = ho * wo
+    split = n * rows_per_view >= _PARALLEL_MIN_ROWS and _cpu_count() > 1
+    views = _spans(n, 4 if split else 1)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(o, -1)  # (kh, kw, c) order, as the columns
-    out = cols @ wmat.T
-    out += b.data
+    cols = np.empty((n * rows_per_view, kh * kw * c), dtype=x.dtype)
+    out = np.empty((n * rows_per_view, o), dtype=np.result_type(cols, wmat))
+
+    def forward(start, stop):
+        rows = slice(start * rows_per_view, stop * rows_per_view)
+        _im2col(x.data[start:stop], kh, kw, stride, padding, out=cols[rows])
+        np.matmul(cols[rows], wmat.T, out=out[rows])
+        out[rows] += b.data
+
+    _parallel([functools.partial(forward, start, stop) for start, stop in views])
 
     def backward_fn(g):
         nonlocal cols
         gmat = g.reshape(-1, o)
+        tasks = []
         if _needs_grad(w):
-            gw = (gmat.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
-            w._accumulate(np.ascontiguousarray(gw))
-        cols = None  # their last use: gx and the tap reuse the memory
+            gw = np.empty((o, cols.shape[1]), dtype=np.result_type(gmat, cols))
+            halves = split and o * (cols.shape[1] // 2) * cols.shape[0] > _SMALL_GEMM
+            for start, stop in _spans(cols.shape[1], 2 if halves else 1):
+                tasks.append(functools.partial(np.matmul, gmat.T, cols[:, start:stop], out=gw[:, start:stop]))
         if _needs_grad(b):
-            b._accumulate(_sum64(gmat, axis=0))
+            # split, the bias sum runs first: at C=1 it outlasts the whole weight GEMM
+            tasks.insert(0 if split else len(tasks), functools.partial(_sum64, gmat, axis=0))
+        results = _parallel(tasks) if split else [task() for task in tasks]
+        tasks = cols = None  # their last use: gx and the taps reuse the memory
+        if _needs_grad(w):
+            w._accumulate(np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)))
+        if _needs_grad(b):
+            b._accumulate(results[0] if split else results[-1])
         if _needs_grad(x):
-            # one [rows, O] @ [O, C] GEMM per tap into one [rows, C] buffer;
-            # the taps that land on one phase gx[:, py::s, px::s] are summed,
-            # in tap order, in one zeroed contiguous buffer, which then fills
-            # that phase of gx (at stride 1 the one phase is gx itself)
-            n, h, wd, _ = x.shape
             wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
-            tap = np.empty((n, ho, wo, c), dtype=np.result_type(gmat, wt))
-            gx = np.empty(x.shape, dtype=tap.dtype)
-            phase = gx if stride == 1 else np.empty((n, -(-h // stride), -(-wd // stride), c), dtype=tap.dtype)
-            row_taps, col_taps = _phase_taps(kh, stride, padding, h, ho), _phase_taps(kw, stride, padding, wd, wo)
-            for py, px in itertools.product(range(stride), repeat=2):
-                buf = phase[:, : len(range(py, h, stride)), : len(range(px, wd, stride))]
-                buf[...] = 0
-                for i, out_rows, buf_rows in row_taps[py]:
-                    for j, out_cols, buf_cols in col_taps[px]:
-                        np.matmul(gmat, wt[i, j], out=tap.reshape(-1, c))
-                        buf[:, buf_rows, buf_cols] += tap[:, out_rows, out_cols]
-                if phase is not gx:
-                    gx[:, py::stride, px::stride] = buf
+            gx = np.empty(x.shape, dtype=np.result_type(gmat, wt))
+            _parallel([
+                functools.partial(_conv_input_grad, gmat[start * rows_per_view : stop * rows_per_view], wt,
+                                  gx[start:stop], ho, wo, stride, padding)
+                for start, stop in views
+            ])
             x._accumulate(gx)
 
-    return _make(out.reshape(x.shape[0], ho, wo, o), (x, w, b), backward_fn, "conv2d")
+    return _make(out.reshape(n, ho, wo, o), (x, w, b), backward_fn, "conv2d")
 
 
 def _relu_in_place(node: Tensor, op: str) -> Tensor:

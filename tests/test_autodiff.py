@@ -1,5 +1,10 @@
 import inspect
+import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -563,6 +568,156 @@ def test_conv2d_backward_releases_its_columns_before_allocating_gx():
     assert cols_bytes == 2_359_296 > x.data.nbytes + 3 * tap_bytes
     assert x.grad.shape == x.shape and live >= cols_bytes + out.data.nbytes
     assert peak - live < x.data.nbytes  # gx has the bytes of x
+
+
+# -- conv2d's tasks on two threads ---------------------------------------------
+
+# (x shape, w shape, stride), padding 1: the view encoder's three layers at
+# 531 and 257 views, at image 32 and at image 28 (196, 49 and 16 rows per
+# view), a stride-1 layer, the middle layer (64 rows per view) at the
+# fewest views that reach the size floor and at one view fewer, and the
+# first layer at 32 views, whose weight GEMM (8192 rows) split in two would
+# fall under ``_SMALL_GEMM``
+FLOOR_VIEWS = ad._PARALLEL_MIN_ROWS // 64
+SPLIT_CASES = [
+    *(case for views in (531, 257) for case in (
+        ((views, 32, 32, 1), (16, 1, 3, 3), 2),
+        ((views, 16, 16, 16), (32, 16, 3, 3), 2),
+        ((views, 8, 8, 32), (64, 32, 3, 3), 2),
+    )),
+    ((257, 28, 28, 1), (16, 1, 3, 3), 2),
+    ((257, 14, 14, 16), (32, 16, 3, 3), 2),
+    ((257, 7, 7, 32), (64, 32, 3, 3), 2),
+    ((64, 16, 16, 16), (32, 16, 3, 3), 1),
+    ((FLOOR_VIEWS, 16, 16, 16), (32, 16, 3, 3), 2),
+    ((FLOOR_VIEWS - 1, 16, 16, 16), (32, 16, 3, 3), 2),
+    ((32, 32, 32, 1), (16, 1, 3, 3), 2),
+]
+
+
+def conv_and_grads(x, w, b, g, stride):
+    """conv2d's output and its x, w and b gradients under the loss
+    ``sum(out * g)``; with one input channel, x is a constant (no
+    gradient), as the view encoder's images are."""
+    xt = ad.parameter(x) if x.shape[3] > 1 else ad.constant(x)
+    wt, bt = ad.parameter(w), ad.parameter(b)
+    out = ad.conv2d(xt, wt, bt, stride=stride, padding=1)
+    ad.tsum(out * ad.constant(g)).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def conv_inputs(x_shape, w_shape, stride, seed=27):
+    rng = Rng(seed)
+    side = (x_shape[1] + 2 - w_shape[2]) // stride + 1
+    shapes = (x_shape, w_shape, w_shape[:1], (x_shape[0], side, side, w_shape[0]))
+    return [np.asarray(rng.normal(shape), dtype=np.float32) for shape in shapes]
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride", SPLIT_CASES)
+def test_conv2d_on_two_threads_bitwise_equals_the_serial_path(monkeypatch, x_shape, w_shape, stride):
+    """From the size floor up, conv2d runs its forward as four tasks on the
+    caller and the worker thread; its output and gradients have the bytes
+    of the serial path (``_cpu_count`` patched to 1), which runs each part
+    as one task. Below the floor, both paths are the serial one."""
+    x, w, b, g = conv_inputs(x_shape, w_shape, stride)
+    forward_tasks = []
+    run_tasks = ad._parallel
+
+    def recording(tasks):
+        forward_tasks.append(len(tasks))
+        return run_tasks(tasks)
+
+    monkeypatch.setattr(ad, "_parallel", recording)
+    threaded = conv_and_grads(x, w, b, g, stride)
+    split = g.shape[0] * g.shape[1] * g.shape[2] >= ad._PARALLEL_MIN_ROWS and ad._cpu_count() > 1
+    assert forward_tasks[0] == (4 if split else 1)
+    monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
+    forward_tasks.clear()
+    serial = conv_and_grads(x, w, b, g, stride)
+    assert forward_tasks[0] == 1
+    for got, want in zip(threaded, serial, strict=True):
+        assert (got is None and want is None and x.shape[3] == 1) or same_bytes(got, want)
+
+
+ONE_CONV = """
+import hashlib, os, sys, threading
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from mvreport import autodiff as ad
+rng = np.random.default_rng(0)
+x = ad.parameter(rng.standard_normal((128, 16, 16, 16)).astype(np.float32))
+w = ad.parameter(rng.standard_normal((32, 16, 3, 3)).astype(np.float32))
+b = ad.parameter(rng.standard_normal(32).astype(np.float32))
+g = rng.standard_normal((128, 8, 8, 32)).astype(np.float32)
+out = ad.conv2d(x, w, b, stride=2, padding=1)
+ad.tsum(out * ad.constant(g)).backward()
+arrays = (out.data, x.grad, w.grad, b.grad)
+print(threading.active_count(), hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_conv2d_on_one_cpu_starts_no_thread_and_gives_the_bytes_of_two():
+    """A process that may run on one CPU only, set before it imports
+    mvreport, runs a conv above the size floor on its own thread, and gets
+    the bytes that a process free to use every CPU gets with the worker,
+    at one BLAS thread in both."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    runs = {}
+    for mode in ("one-cpu", "every-cpu"):
+        proc = subprocess.run([sys.executable, "-c", ONE_CONV, mode], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        runs[mode] = proc.stdout.split()
+    assert runs["one-cpu"][0] == "1"
+    assert runs["every-cpu"][0] == ("2" if len(os.sched_getaffinity(0)) > 1 else "1")
+    assert runs["one-cpu"][1] == runs["every-cpu"][1]
+
+
+class TaskFailure(Exception):
+    pass
+
+
+def test_parallel_returns_results_in_order_and_raises_the_first_failure_after_all_tasks_ran():
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i in (2, 5):
+            raise TaskFailure(i)
+        return i * i
+
+    assert ad._parallel([lambda i=i: task(i) for i in (0, 1, 3)]) == [0, 1, 9]
+    ran.clear()
+    with pytest.raises(TaskFailure) as failure:
+        ad._parallel([lambda i=i: task(i) for i in range(7)])
+    assert failure.value.args == (2,) and sorted(ran) == list(range(7))
+
+
+def test_a_failing_conv2d_task_raises_its_own_error_and_the_next_conv2d_succeeds(monkeypatch):
+    """An error in one of conv2d's tasks (here the third im2col of four)
+    reaches the caller with its own type; the worker survives it, and the
+    next conv2d gives the serial path's bytes."""
+    if ad._cpu_count() < 2:
+        pytest.skip("conv2d splits into tasks only with more than one CPU")
+    inputs = conv_inputs((128, 16, 16, 16), (32, 16, 3, 3), 2)
+    im2col, calls = ad._im2col, itertools.count()
+
+    def failing(*args, **kwargs):
+        if next(calls) == 2:
+            raise TaskFailure("im2col")
+        return im2col(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_im2col", failing)
+    with pytest.raises(TaskFailure):
+        conv_and_grads(*inputs, 2)
+    assert next(calls) == 4
+    monkeypatch.setattr(ad, "_im2col", im2col)
+    threaded = conv_and_grads(*inputs, 2)
+    assert ad._worker.is_alive()
+    monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
+    for got, want in zip(threaded, conv_and_grads(*inputs, 2), strict=True):
+        assert same_bytes(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, F64])

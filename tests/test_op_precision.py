@@ -261,3 +261,47 @@ def test_reduction_precision_checks_against_sum64_in_storage_dtype(monkeypatch):
     sum64_in_storage_dtype(monkeypatch)
     caught = {op: over_bound(errors_at(0), reference) for op, (errors_at, reference) in REDUCTION_CASES.items()}
     assert caught == {"cross_entropy_rows": [], "tmean": ["out"], "l2_normalize": []}
+
+
+# The backward of narrow, concat, take_last and gather_rows (all ids
+# distinct) only moves upstream values into zeros, so in float32 it equals
+# the float64 reference rounded to float32 exactly. Shapes are the tape's at
+# B=256: the per-view feature maps [531, 16, 64], the LM's logits
+# [256, 11, 37], and the fusion's 256 anchor rows of 531 views.
+def float32_gradients_equal_rounded_float64(op, arrays, upstream: np.ndarray) -> bool:
+    """Whether ``op``'s float32 output and input gradients, under the loss
+    ``sum(out * upstream)``, equal the float64 ones rounded to float32, byte for byte."""
+    results = []
+    for dtype in (np.float32, np.float64):
+        inputs = [ad.parameter(a, dtype=dtype) for a in arrays]
+        out = op(*inputs)
+        ad.tsum(out * ad.constant(upstream, dtype=dtype)).backward()
+        results.append([a.astype(np.float32).tobytes() for a in (out.data, *(t.grad for t in inputs))])
+    return results[0] == results[1]
+
+
+def exact_cases(seed: int) -> dict:
+    """Per op: the op, its float32 inputs and the upstream gradient."""
+    rng = Rng(seed)
+
+    def normal(shape):
+        return np.asarray(rng.normal(shape), dtype=np.float32)
+
+    views = normal((531, 16, 64))
+    logits = normal((256, 11, 37))
+    picked = np.minimum(np.abs(rng.normal((256, 11))) * 12, 36).astype(np.int64)
+    anchors = np.sort(np.argsort(rng.normal((531,)))[:256])  # 256 distinct rows
+    parts = [normal((length, 16, 64)) for length in (200, 131, 200)]
+    return {
+        "narrow": (lambda t: ad.narrow(t, 0, 100, 300), [views], normal((300, 16, 64))),
+        "concat": (lambda *ts: ad.concat(ts, axis=0), parts, normal((531, 16, 64))),
+        "take_last": (lambda t: ad.take_last(t, picked), [logits], normal((256, 11))),
+        "gather_rows": (lambda t: ad.gather_rows(t, anchors), [views], normal((256, 16, 64))),
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("op", ["narrow", "concat", "take_last", "gather_rows"])
+def test_selection_backward_in_float32_equals_rounded_float64(op, seed):
+    fn, arrays, upstream = exact_cases(seed)[op]
+    assert float32_gradients_equal_rounded_float64(fn, arrays, upstream)

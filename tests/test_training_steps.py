@@ -205,3 +205,22 @@ RELEASED_TAPE_BOUND = 0.2
 def test_backward_releases_the_forward_graph_while_the_loss_is_held(stage):
     live, _, after = backward_memory(stage)
     assert after <= RELEASED_TAPE_BOUND * live, f"{after} of the forward's {live} bytes still live after backward"
+
+
+def test_a_step_with_conv2d_on_two_threads_leaves_the_serial_bytes(monkeypatch):
+    """One pretrain_step and one finetune_step at B=64 (about 128 views, so
+    the first two conv layers reach the size floor) leave byte-identical
+    parameters and AdamW moments with conv2d's worker thread and without
+    it (``_cpu_count`` patched to 1)."""
+    states = []
+    for cpus in (ad._cpu_count(), 1):
+        monkeypatch.setattr(ad, "_cpu_count", lambda cpus=cpus: cpus)
+        trainer = Trainer(batch_size=64, n_batches=1)
+        trainer.step(0)
+        moments = {f"{stage}/{name}/{moment}": state[moment]
+                   for stage, opt in (("s1", trainer.opt1), ("s2", trainer.opt2))
+                   for name, state in opt.state.items() for moment in ("m", "v")}
+        states.append({**trainer.weights(), **moments})
+    threaded, serial = states
+    assert threaded.keys() == serial.keys()
+    assert [name for name in threaded if threaded[name].tobytes() != serial[name].tobytes()] == []
