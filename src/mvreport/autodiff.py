@@ -112,10 +112,11 @@ _PARALLEL_MIN_ROWS = 4096
 # above it: that GEMM sums over all rows.
 _SMALL_GEMM = 10**6
 # The jobs of _parallel's worker thread, a count of the jobs not yet taken,
-# and the thread, which the first _parallel call that can use it starts.
+# and the thread, once the first _parallel call that can use it has started
+# it (a list, so that starting it rebinds no module name).
 _jobs = collections.deque()
 _jobs_waiting = threading.Semaphore(0)
-_worker = None
+_worker = []
 
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
@@ -148,12 +149,11 @@ def _parallel(tasks: list) -> list:
     tasks, with one CPU, or on the worker itself, every task runs here, in
     order. Once all tasks have finished, the first exception in task order
     is raised here."""
-    global _worker
-    if len(tasks) < 2 or _cpu_count() < 2 or threading.current_thread() is _worker:
+    if len(tasks) < 2 or _cpu_count() < 2 or threading.current_thread() in _worker:
         return [task() for task in tasks]
-    if _worker is None or not _worker.is_alive():  # also after a fork, which keeps only the calling thread
-        _worker = threading.Thread(target=_work, name="mvreport-autodiff-worker", daemon=True)
-        _worker.start()
+    if not _worker or not _worker[0].is_alive():  # also after a fork, which keeps only the calling thread
+        _worker[:] = [threading.Thread(target=_work, name="mvreport-autodiff-worker", daemon=True)]
+        _worker[0].start()
     results, errors = [None] * len(tasks), [None] * len(tasks)
     claim = itertools.count().__next__  # one C call, so no two threads get the same index
     finished = threading.Event()

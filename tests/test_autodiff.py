@@ -714,7 +714,7 @@ def test_a_failing_conv2d_task_raises_its_own_error_and_the_next_conv2d_succeeds
     assert next(calls) == 4
     monkeypatch.setattr(ad, "_im2col", im2col)
     threaded = conv_and_grads(*inputs, 2)
-    assert ad._worker.is_alive()
+    assert ad._worker[0].is_alive()
     monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
     for got, want in zip(threaded, conv_and_grads(*inputs, 2), strict=True):
         assert same_bytes(got, want)
