@@ -39,15 +39,16 @@ comes from the heap, freed heap pages stay in the process, and every
 thread allocates from the one main heap.
 
 ``conv2d`` splits large convolutions into tasks that each write their own
-slice of an output array, and runs them on the calling thread and one
-worker thread (``_parallel``); at one BLAS thread every result has the
-bytes of the one-task computation. The worker is started by the first
-such call, and only where the process may run on more than one CPU.
+slice of an output array, and runs them on the calling thread and the one
+thread of a ``concurrent.futures`` pool (``_parallel``); at one BLAS
+thread every result has the bytes of the one-task computation. Each call
+chooses once, from its size and the CPUs the process may run on, between
+that and running every part on the calling thread. The pool is made by
+the first threaded call, and a forked child starts without one.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -55,7 +56,6 @@ import itertools
 import logging
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -83,8 +83,8 @@ def _retain_freed_memory() -> None:
     threshold was accepted: either value set alone turns off glibc's
     dynamic threshold, and the trim threshold alone faults more than the
     default. One malloc arena (``M_ARENA_MAX``) keeps the blocks that
-    ``_parallel``'s worker thread allocates and frees in the same heap as
-    the main thread's, so the two reuse each other's pages; an arena per
+    the thread of ``_parallel``'s pool allocates and frees in the same
+    heap as the main thread's, so the two reuse each other's pages; an arena per
     thread would hold its own copy of them. Without glibc's ``mallopt``
     nothing changes.
     """
@@ -103,7 +103,7 @@ def _retain_freed_memory() -> None:
 _retain_freed_memory()
 
 # conv2d splits its work into tasks from this many output rows (N * Ho * Wo) up;
-# below it, handing tasks to the worker costs more than the worker saves.
+# below it, handing tasks to the pool thread costs more than that thread saves.
 _PARALLEL_MIN_ROWS = 4096
 # OpenBLAS's AVX-512 kernels compute a GEMM of at most this many
 # multiply-adds with a small-matrix kernel that sums the inner axis in one
@@ -111,12 +111,12 @@ _PARALLEL_MIN_ROWS = 4096
 # conv2d splits its weight gradient's columns only where both halves stay
 # above it: that GEMM sums over all rows.
 _SMALL_GEMM = 10**6
-# The jobs of _parallel's worker thread, a count of the jobs not yet taken,
-# and the thread, once the first _parallel call that can use it has started
-# it (a list, so that starting it rebinds no module name).
-_jobs = collections.deque()
-_jobs_waiting = threading.Semaphore(0)
-_worker = []
+# _parallel's one-thread pool, once the first _parallel call has made it (a
+# list, so that making it rebinds no module name). A forked child keeps no
+# thread of its parent, so it starts with no pool and makes its own.
+_pool = []
+if hasattr(os, "register_at_fork"):  # where there is no fork there is nothing to reset
+    os.register_at_fork(after_in_child=_pool.clear)
 
 # When False, ops record no graph (see no_grad).
 GRAD_ENABLED = True
@@ -133,30 +133,20 @@ def _cpu_count() -> int:
         return 1
 
 
-def _work() -> None:
-    """The worker thread: run each job put on ``_jobs``, and drop it as soon as it has run."""
-    while True:
-        _jobs_waiting.acquire()
-        _jobs.popleft()()
-
-
 def _parallel(tasks: list) -> list:
     """Run zero-argument callables and return their results in task order.
 
-    The calling thread and one worker thread each take the next task from
+    The calling thread and the pool's thread each take the next task from
     one shared counter until none is left, so each task runs once, on
-    either thread; tasks must write disjoint memory. With fewer than two
-    tasks, with one CPU, or on the worker itself, every task runs here, in
-    order. Once all tasks have finished, the first exception in task order
-    is raised here."""
-    if len(tasks) < 2 or _cpu_count() < 2 or threading.current_thread() in _worker:
-        return [task() for task in tasks]
-    if not _worker or not _worker[0].is_alive():  # also after a fork, which keeps only the calling thread
-        _worker[:] = [threading.Thread(target=_work, name="mvreport-autodiff-worker", daemon=True)]
-        _worker[0].start()
+    either thread; tasks must write disjoint memory and must not call
+    ``_parallel``. Once all tasks have finished, the first exception in
+    task order is raised here."""
+    if not _pool:
+        import concurrent.futures  # here, not at import: only a threaded conv2d needs it
+
+        _pool.append(concurrent.futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="mvreport-autodiff"))
     results, errors = [None] * len(tasks), [None] * len(tasks)
     claim = itertools.count().__next__  # one C call, so no two threads get the same index
-    finished = threading.Event()
 
     def drain():
         while (i := claim()) < len(tasks):
@@ -165,16 +155,9 @@ def _parallel(tasks: list) -> list:
             except Exception as err:  # raised in the caller once every task has finished
                 errors[i] = err
 
-    def worker_drain():
-        try:
-            drain()
-        finally:
-            finished.set()
-
-    _jobs.append(worker_drain)
-    _jobs_waiting.release()
+    helper = _pool[0].submit(drain)
     drain()
-    finished.wait()
+    helper.result()
     for err in errors:
         if err is not None:
             raise err
@@ -870,7 +853,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     an output array, with the bytes of the one-task computation: the
     forward and the input gradient per quarter of the views, the weight
     gradient per half of the columns (see ``_SMALL_GEMM``), and the bias
-    gradient."""
+    gradient. Below that, each part is one task on the calling thread."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
     if x.shape[3] != w.shape[1]:
@@ -881,6 +864,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     wo = (wd + 2 * padding - kw) // stride + 1
     rows_per_view = ho * wo
     split = n * rows_per_view >= _PARALLEL_MIN_ROWS and _cpu_count() > 1
+    run = _parallel if split else (lambda tasks: [task() for task in tasks])
     views = _spans(n, 4 if split else 1)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(o, -1)  # (kh, kw, c) order, as the columns
     cols = np.empty((n * rows_per_view, kh * kw * c), dtype=x.dtype)
@@ -892,30 +876,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         np.matmul(cols[rows], wmat.T, out=out[rows])
         out[rows] += b.data
 
-    _parallel([functools.partial(forward, start, stop) for start, stop in views])
+    run([functools.partial(forward, start, stop) for start, stop in views])
 
     def backward_fn(g):
         nonlocal cols
         gmat = g.reshape(-1, o)
         tasks = []
+        if _needs_grad(b):
+            # the bias sum is the first task: at C=1 it outlasts the whole weight GEMM
+            tasks.append(functools.partial(_sum64, gmat, axis=0))
         if _needs_grad(w):
             gw = np.empty((o, cols.shape[1]), dtype=np.result_type(gmat, cols))
             halves = split and o * (cols.shape[1] // 2) * cols.shape[0] > _SMALL_GEMM
             for start, stop in _spans(cols.shape[1], 2 if halves else 1):
                 tasks.append(functools.partial(np.matmul, gmat.T, cols[:, start:stop], out=gw[:, start:stop]))
-        if _needs_grad(b):
-            # split, the bias sum runs first: at C=1 it outlasts the whole weight GEMM
-            tasks.insert(0 if split else len(tasks), functools.partial(_sum64, gmat, axis=0))
-        results = _parallel(tasks) if split else [task() for task in tasks]
+        results = run(tasks)
         tasks = cols = None  # their last use: gx and the taps reuse the memory
         if _needs_grad(w):
             w._accumulate(np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)))
         if _needs_grad(b):
-            b._accumulate(results[0] if split else results[-1])
+            b._accumulate(results[0])
         if _needs_grad(x):
             wt = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))
             gx = np.empty(x.shape, dtype=np.result_type(gmat, wt))
-            _parallel([
+            run([
                 functools.partial(_conv_input_grad, gmat[start * rows_per_view : stop * rows_per_view], wt,
                                   gx[start:stop], ho, wo, stride, padding)
                 for start, stop in views

@@ -2,9 +2,9 @@ import inspect
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -615,30 +615,34 @@ def conv_inputs(x_shape, w_shape, stride, seed=27):
 
 @pytest.mark.parametrize("x_shape,w_shape,stride", SPLIT_CASES)
 def test_conv2d_on_two_threads_bitwise_equals_the_serial_path(monkeypatch, x_shape, w_shape, stride):
-    """From the size floor up, conv2d runs its forward as four tasks on the
-    caller and the worker thread; its output and gradients have the bytes
-    of the serial path (``_cpu_count`` patched to 1), which runs each part
-    as one task. Below the floor, both paths are the serial one."""
+    """From the size floor up, conv2d runs its forward as four tasks (one
+    im2col each) on the caller and the pool thread; its output and
+    gradients have the bytes of the serial path (``_cpu_count`` patched to
+    1), which runs each part as one task. Below the floor, both paths are
+    the serial one."""
     x, w, b, g = conv_inputs(x_shape, w_shape, stride)
-    forward_tasks = []
-    run_tasks = ad._parallel
+    im2col, forward_tasks = ad._im2col, itertools.count()
 
-    def recording(tasks):
-        forward_tasks.append(len(tasks))
-        return run_tasks(tasks)
+    def counting(*args, **kwargs):
+        next(forward_tasks)
+        return im2col(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "_parallel", recording)
+    monkeypatch.setattr(ad, "_im2col", counting)
     threaded = conv_and_grads(x, w, b, g, stride)
     split = g.shape[0] * g.shape[1] * g.shape[2] >= ad._PARALLEL_MIN_ROWS and ad._cpu_count() > 1
-    assert forward_tasks[0] == (4 if split else 1)
+    assert next(forward_tasks) == (4 if split else 1)
     monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
-    forward_tasks.clear()
+    forward_tasks = itertools.count()
     serial = conv_and_grads(x, w, b, g, stride)
-    assert forward_tasks[0] == 1
+    assert next(forward_tasks) == 1
     for got, want in zip(threaded, serial, strict=True):
         assert (got is None and want is None and x.shape[3] == 1) or same_bytes(got, want)
 
 
+# Prints the number of live threads and the sha256 of one or more convs'
+# outputs and gradients. one-cpu: pinned to one CPU before mvreport is
+# imported; every-cpu: free to use every CPU; below-floor: free, but only
+# the encoder's first layer at a decode's 1-3 views (at most 3 072 rows).
 ONE_CONV = """
 import hashlib, os, sys, threading
 if sys.argv[1] == "one-cpu":
@@ -646,13 +650,19 @@ if sys.argv[1] == "one-cpu":
 import numpy as np
 from mvreport import autodiff as ad
 rng = np.random.default_rng(0)
-x = ad.parameter(rng.standard_normal((128, 16, 16, 16)).astype(np.float32))
-w = ad.parameter(rng.standard_normal((32, 16, 3, 3)).astype(np.float32))
-b = ad.parameter(rng.standard_normal(32).astype(np.float32))
-g = rng.standard_normal((128, 8, 8, 32)).astype(np.float32)
-out = ad.conv2d(x, w, b, stride=2, padding=1)
-ad.tsum(out * ad.constant(g)).backward()
-arrays = (out.data, x.grad, w.grad, b.grad)
+if sys.argv[1] == "below-floor":
+    shapes = [((views, 32, 32, 1), (16, 1, 3, 3)) for views in (1, 2, 3)]
+else:
+    shapes = [((128, 16, 16, 16), (32, 16, 3, 3))]
+arrays = []
+for (n, h, _, c), (o, *_) in shapes:
+    x = ad.parameter(rng.standard_normal((n, h, h, c)).astype(np.float32))
+    w = ad.parameter(rng.standard_normal((o, c, 3, 3)).astype(np.float32))
+    b = ad.parameter(rng.standard_normal(o).astype(np.float32))
+    g = rng.standard_normal((n, h // 2, h // 2, o)).astype(np.float32)
+    out = ad.conv2d(x, w, b, stride=2, padding=1)
+    ad.tsum(out * ad.constant(g)).backward()
+    arrays += [out.data, x.grad, w.grad, b.grad]
 print(threading.active_count(), hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
 """
 
@@ -661,17 +671,75 @@ print(threading.active_count(), hashlib.sha256(b"".join(a.tobytes() for a in arr
 def test_conv2d_on_one_cpu_starts_no_thread_and_gives_the_bytes_of_two():
     """A process that may run on one CPU only, set before it imports
     mvreport, runs a conv above the size floor on its own thread, and gets
-    the bytes that a process free to use every CPU gets with the worker,
-    at one BLAS thread in both."""
+    the bytes that a process free to use every CPU gets with the pool
+    thread, at one BLAS thread in both. A free process that runs only
+    convs below the floor starts no thread either."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
     runs = {}
-    for mode in ("one-cpu", "every-cpu"):
+    for mode in ("one-cpu", "every-cpu", "below-floor"):
         proc = subprocess.run([sys.executable, "-c", ONE_CONV, mode], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
         runs[mode] = proc.stdout.split()
     assert runs["one-cpu"][0] == "1"
     assert runs["every-cpu"][0] == ("2" if len(os.sched_getaffinity(0)) > 1 else "1")
     assert runs["one-cpu"][1] == runs["every-cpu"][1]
+    assert runs["below-floor"][0] == "1"
+
+
+# Runs a conv above the size floor, then the same conv in an os.fork()
+# child, which exits normally, and in a fork-context multiprocessing pool;
+# prints whether each gave the parent's sha256, and the child's exit code.
+FORKED_CONV = """
+import hashlib, multiprocessing, os, sys
+import numpy as np
+from mvreport import autodiff as ad
+
+def conv_sha256():
+    rng = np.random.default_rng(0)
+    x = ad.parameter(rng.standard_normal((128, 16, 16, 16)).astype(np.float32))
+    w = ad.parameter(rng.standard_normal((32, 16, 3, 3)).astype(np.float32))
+    b = ad.parameter(rng.standard_normal(32).astype(np.float32))
+    g = rng.standard_normal((128, 8, 8, 32)).astype(np.float32)
+    out = ad.conv2d(x, w, b, stride=2, padding=1)
+    ad.tsum(out * ad.constant(g)).backward()
+    return hashlib.sha256(b"".join(a.tobytes() for a in (out.data, x.grad, w.grad, b.grad))).hexdigest()
+
+parent = conv_sha256()
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.close(read)
+    with os.fdopen(write, "w") as pipe:
+        pipe.write(conv_sha256())
+    sys.exit(0)
+os.close(write)
+with os.fdopen(read) as pipe:
+    child = pipe.read()
+exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+with multiprocessing.get_context("fork").Pool(1) as pool:
+    pooled = pool.apply_async(conv_sha256).get()
+print(child == parent, exit_code, pooled == parent)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_conv2d_after_a_fork_finishes_with_the_parents_bytes():
+    """A forked process, whose parent has used the pool thread, runs a conv
+    above the size floor to the end with the parent's bytes, both as an
+    ``os.fork()`` child and as a multiprocessing worker, and the child
+    exits normally. The script runs in its own session, so that on a
+    timeout every process it forked is killed with it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", FORKED_CONV], env=env, stdout=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a conv2d after a fork did not finish within 60 s")
+    assert proc.returncode == 0
+    assert out.split() == ["True", "0", "True"]
 
 
 class TaskFailure(Exception):
@@ -696,8 +764,8 @@ def test_parallel_returns_results_in_order_and_raises_the_first_failure_after_al
 
 def test_a_failing_conv2d_task_raises_its_own_error_and_the_next_conv2d_succeeds(monkeypatch):
     """An error in one of conv2d's tasks (here the third im2col of four)
-    reaches the caller with its own type; the worker survives it, and the
-    next conv2d gives the serial path's bytes."""
+    reaches the caller with its own type; the same pool serves the next
+    conv2d, which gives the serial path's bytes."""
     if ad._cpu_count() < 2:
         pytest.skip("conv2d splits into tasks only with more than one CPU")
     inputs = conv_inputs((128, 16, 16, 16), (32, 16, 3, 3), 2)
@@ -712,9 +780,10 @@ def test_a_failing_conv2d_task_raises_its_own_error_and_the_next_conv2d_succeeds
     with pytest.raises(TaskFailure):
         conv_and_grads(*inputs, 2)
     assert next(calls) == 4
+    pool = ad._pool[0]
     monkeypatch.setattr(ad, "_im2col", im2col)
     threaded = conv_and_grads(*inputs, 2)
-    assert ad._worker[0].is_alive()
+    assert ad._pool == [pool]
     monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
     for got, want in zip(threaded, conv_and_grads(*inputs, 2), strict=True):
         assert same_bytes(got, want)
