@@ -84,9 +84,9 @@ def _retain_freed_memory() -> None:
     dynamic threshold, and the trim threshold alone faults more than the
     default. One malloc arena (``M_ARENA_MAX``) keeps the blocks that
     the thread of ``_parallel``'s pool allocates and frees in the same
-    heap as the main thread's, so the two reuse each other's pages; an arena per
-    thread would hold its own copy of them. Without glibc's ``mallopt``
-    nothing changes.
+    heap as the main thread's, so the two reuse each other's pages; an
+    arena per thread would hold its own copy of them. Without glibc's
+    ``mallopt`` nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt  # not find_library, which starts an ldconfig process
@@ -139,8 +139,8 @@ def _parallel(tasks: list) -> list:
     The calling thread and the pool's thread each take the next task from
     one shared counter until none is left, so each task runs once, on
     either thread; tasks must write disjoint memory and must not call
-    ``_parallel``. Once all tasks have finished, the first exception in
-    task order is raised here."""
+    ``_parallel`` (the pool's one thread would wait for itself). Once all
+    tasks have finished, the first exception in task order is raised here."""
     if not _pool:
         import concurrent.futures  # here, not at import: only a threaded conv2d needs it
 
