@@ -529,10 +529,10 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             ga[rows] = g_rows  # far faster than np.add.at
         else:
             # segment sum, far faster than np.add.at: group equal ids (stably,
-            # so each group keeps its rows' order) and sum each group
+            # so each group keeps its rows' order) and sum each group in 64-bit
             starts = np.flatnonzero(np.r_[True, new_id])
             grouped = g_rows[np.argsort(rows, kind="stable")]
-            ga[ordered[starts]] = np.add.reduceat(grouped, starts, axis=0)
+            ga[ordered[starts]] = np.add.reduceat(grouped, starts, axis=0, dtype=np.float64)
         a._accumulate(ga)
 
     return _make(out_data, (a,), backward_fn, "gather_rows")
