@@ -257,41 +257,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other, self.dtype))
 
-    def __rmul__(self, other):
-        return mul(_lift(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self.dtype))
-
     def __neg__(self):
         return mul(self, _lift(-1.0, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _lift(x, dtype) -> Tensor:
@@ -394,18 +364,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward_fn, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward_fn(g):
-        if _needs_grad(a):
-            a._accumulate(_unbroadcast(g, a.shape))
-        if _needs_grad(b):
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward_fn, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
@@ -416,18 +374,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward_fn(g):
-        if _needs_grad(a):
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if _needs_grad(b):
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), backward_fn, "div")
 
 
 def log(a: Tensor) -> Tensor:
@@ -778,9 +724,10 @@ def cross_entropy_rows(target_p: Tensor, pred_q: Tensor) -> Tensor:
 # -- convolution ---------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray | None = None):
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndarray):
     """[N, H, W, C] -> columns [N*Ho*Wo, kh*kw*C] in (kh, kw, c) order,
-    written into ``out`` when it is given."""
+    written into ``out``, an array of that shape (each ``conv2d`` task
+    fills its own rows of one array); returns ``(out, Ho, Wo)``."""
     n, h, w, c = x.shape
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)  # np.pad is slower
     xp[:, pad : pad + h, pad : pad + w] = x
@@ -793,8 +740,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, out: np.ndar
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False,
     )
-    if out is None:
-        return view.reshape(n * ho * wo, kh * kw * c), ho, wo
     out.reshape(view.shape)[...] = view
     return out, ho, wo
 

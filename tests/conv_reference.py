@@ -90,7 +90,9 @@ def _add_taps(gtaps: np.ndarray, x_shape, ho: int, wo: int, stride: int, pad: in
 def tap_buffer_conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Channels-last conv2d whose input gradient goes through a [kh, kw, rows, C] tap buffer."""
     o, c, kh, kw = w.shape
-    cols, ho, wo = ad._im2col(x.data, kh, kw, stride, padding)
+    n, h, wd, _ = x.shape
+    rows = n * ((h + 2 * padding - kh) // stride + 1) * ((wd + 2 * padding - kw) // stride + 1)
+    cols, ho, wo = ad._im2col(x.data, kh, kw, stride, padding, out=np.empty((rows, kh * kw * c), dtype=x.dtype))
     wmat = w.data.transpose(0, 2, 3, 1).reshape(o, -1)
     out = cols @ wmat.T
     out += b.data

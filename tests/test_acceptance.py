@@ -48,7 +48,7 @@ from mvreport.text import Vocabulary, tokenize
 
 from conftest import make_study, padded_indications, synth_studies, tiny_config
 from gradcheck import check_grads, directional_check, to_f64_params
-from op_reference import exp, relu
+from op_reference import div, exp, relu, sub
 
 F64 = np.float64
 
@@ -88,7 +88,7 @@ def _op_cases(rng):
     def case_sub():
         a, b = two()
         dot = _dot(rng, (3, 4))
-        return lambda: dot(a - b), [a, b]
+        return lambda: dot(sub(a, b)), [a, b]
 
     def case_mul():
         a, b = two()
@@ -99,7 +99,7 @@ def _op_cases(rng):
         a = _p(rng, (3, 4))
         b = _p(rng, (3, 4), std=0.5, offset=3.0)
         dot = _dot(rng, (3, 4))
-        return lambda: dot(a / b), [a, b]
+        return lambda: dot(div(a, b)), [a, b]
 
     def case_relu():
         a = _margin(_p(rng, (3, 4)))
