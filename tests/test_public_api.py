@@ -16,9 +16,15 @@ The scan reads the source with ``ast`` and imports nothing. A public name
 ``cli.main``, the console-script entry point, is the only exception.
 Run as a script, this file also lists the names that only the benchmark
 uses.
+
+The scan cannot see methods and operators: ``a - b`` calls
+``Tensor.__sub__`` without naming it. A second check runs a small pass
+of the program and counts the calls that reach each engine function
+and ``Tensor`` method.
 """
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -158,6 +164,67 @@ def test_the_scan_counts_an_attribute_of_the_package_and_a_string_target():
     public = {("autodiff", "Tensor"), ("autodiff", "layer_norm"), ("encoders", "ParamInit"), ("cli", "main")}
     assert _references(tree, None, ()) == {("cli", "main"), ("kgrg", "init")}
     assert _string_references(tree, public) == {("autodiff", "Tensor"), ("autodiff", "layer_norm")}
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.add(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_every_engine_function_and_tensor_method_runs_in_a_program_pass(monkeypatch):
+    """Each public ``autodiff`` function, and each public method, property
+    and operator of ``Tensor`` but ``__init__`` and ``__repr__``, is called
+    by one step of each stage, both validation losses and a beam:2 decode.
+
+    The ``ast`` scan above cannot see these calls: an operator names no
+    method (``a - b`` calls ``Tensor.__sub__``), and a method is found
+    through its object, whose type the scan does not know. So this check
+    counts calls at run time. ``layer_norm`` is the one exception: only the
+    benchmark's tracer binds it, as the scan sees."""
+    # imported here: the scan, which also runs as a script, imports nothing
+    from mvreport import autodiff as ad
+    from mvreport.data import make_batches
+    from mvreport.encoders import init_stage1_params
+    from mvreport.kgrg import finetune_step, generate_batch, init_stage2_params, split_param_groups
+    from mvreport.mvcl import pretrain_step
+    from mvreport.optim import AdamW
+    from mvreport.rng import Rng
+    from mvreport.synthetic import SynthSpec
+    from mvreport.training import validation_lm_loss, validation_stage1_loss
+    from conftest import synth_studies, tiny_config
+
+    calls, names = set(), set()
+    for name, fn in vars(ad).items():
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_"):
+            names.add(name)
+            monkeypatch.setattr(ad, name, _counting(calls, name, fn))
+    for name, member in vars(ad.Tensor).items():
+        public = not name.startswith("_") or (name.endswith("__") and name not in ("__init__", "__repr__"))
+        qualified = f"Tensor.{name}"
+        if public and inspect.isfunction(member):
+            names.add(qualified)
+            monkeypatch.setattr(ad.Tensor, name, _counting(calls, qualified, member))
+        elif public and isinstance(member, property):
+            names.add(qualified)
+            monkeypatch.setattr(ad.Tensor, name, property(_counting(calls, qualified, member.fget)))
+
+    config = tiny_config(max_tokens=4)
+    studies, vocab = synth_studies(SynthSpec(n_studies=8, view_count_range=(1, 3), image_size=8,
+                                             indication_rate=0.5, seed=3))
+    batch = make_batches(studies, config.batch_size, seed=0)[0]
+    params = init_stage1_params(config, len(vocab), Rng(1))
+    pretrain_step(batch, params, vocab, AdamW([(params, 1e-3)]), config)
+    validation_stage1_loss(studies, params, vocab, config)
+    params.update(init_stage2_params(config, len(vocab), Rng(2)))
+    group1, group2 = split_param_groups(params)
+    finetune_step(batch, params, vocab, AdamW([(group1, 1e-4), (group2, 1e-3)]), config)
+    validation_lm_loss(studies, params, vocab, config)
+    generate_batch(studies, params, vocab, config, mode="beam", beam_width=2)
+
+    never = names - calls
+    assert never == {"layer_norm"}, "engine names a program pass never calls: " + ", ".join(sorted(never))
 
 
 if __name__ == "__main__":
