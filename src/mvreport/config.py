@@ -78,8 +78,8 @@ class RunConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise UsageError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         splits = self.split_train + self.split_val + self.split_test
-        if splits > 1.0 + 1e-9:
-            raise UsageError(f"split_train + split_val + split_test must not exceed 1, got {splits:g}")
+        if abs(splits - 1.0) > 1e-9:  # the test split takes every study after train and val
+            raise UsageError(f"split_train + split_val + split_test must sum to 1, got {splits:g}")
         if not 1 <= self.view_count_min <= self.view_count_max:
             raise UsageError(f"view counts must satisfy 1 <= view_count_min <= view_count_max, "
                              f"got {self.view_count_min} and {self.view_count_max}")

@@ -45,13 +45,15 @@ def test_dry_run_exits_zero(tmp_path, capsys):
     ({"split_train": -0.5}, "split_train must be in [0, 1]"),
     ({"split_test": 1.5}, "split_test must be in [0, 1]"),
     ({"split_train": 0.7, "split_val": 0.2, "split_test": 0.2},
-     "split_train + split_val + split_test must not exceed 1, got 1.1"),
+     "split_train + split_val + split_test must sum to 1, got 1.1"),
+    ({"split_test": 0.0}, "split_train + split_val + split_test must sum to 1, got 0.85"),
     ({"max_steps": -1}, "config field 'max_steps' must not be negative, got -1"),
     ({"weight_decay": -0.5}, "config field 'weight_decay' must not be negative, got -0.5"),
     (None, "config file {cfg} must hold a JSON object, got None"),
     ([], "config file {cfg} must hold a JSON object, got []"),
 ], ids=["str_for_int", "bool_for_int", "float_for_int", "bool_for_float", "int_for_str", "ffn_mult_negative",
-        "split_negative", "split_above_one", "split_sum_above_one", "max_steps_negative", "weight_decay_negative",
+        "split_negative", "split_above_one", "split_sum_above_one", "split_sum_below_one",
+        "max_steps_negative", "weight_decay_negative",
         "null_file", "list_file"])
 def test_wrong_config_value_fails_dry_run(tmp_path, capsys, fields, message):
     if isinstance(fields, dict):
