@@ -17,8 +17,8 @@ The scan reads the source with ``ast`` and imports nothing. A public name
 Run as a script, this file also lists the names that only the benchmark
 uses.
 
-The scan cannot see methods and operators: ``a - b`` calls
-``Tensor.__sub__`` without naming it. A second check runs a small pass
+The scan cannot see methods and operators: ``a * b`` calls
+``Tensor.__mul__`` without naming it. A second check runs a small pass
 of the program and counts the calls that reach each engine function
 and ``Tensor`` method.
 """
@@ -179,7 +179,7 @@ def test_every_engine_function_and_tensor_method_runs_in_a_program_pass(monkeypa
     by one step of each stage, both validation losses and a beam:2 decode.
 
     The ``ast`` scan above cannot see these calls: an operator names no
-    method (``a - b`` calls ``Tensor.__sub__``), and a method is found
+    method (``a * b`` calls ``Tensor.__mul__``), and a method is found
     through its object, whose type the scan does not know. So this check
     counts calls at run time. ``layer_norm`` is the one exception: only the
     benchmark's tracer binds it, as the scan sees."""
